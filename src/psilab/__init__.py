@@ -24,6 +24,7 @@ from .amplification import (
     h_ptd_lie,
     h_ptd_strang_rk2,
     mode_multiplier,
+    stability_surface,
 )
 from .discretize import (
     VDiscretization,
@@ -41,6 +42,7 @@ from .harness import (
     VERIFY_SCHEMES,
     ConfigError,
     ExperimentConfig,
+    NumericalError,
     RunRecord,
     emit_figure_grids,
     mode_probe_rank,

@@ -1,15 +1,15 @@
 """Closed-form one-step multipliers and stability surfaces.
 
 A rank-1 Fourier probe x_m v_k^T (grid mode m, coefficient eigenvector k)
-passes through every scheme as a scalar multiplier. This module carries two
-views of that multiplier:
+passes through every scheme as a scalar multiplier. One formula per scheme
+gives two views of it:
 
 * ``mode_multiplier``: the exact complex factor for a signed Courant number,
   cross-checked elsewhere against the production steppers.
-* ``h_*`` surfaces: the squared modulus as a function of Y = 1 - cos(theta)
-  in [0, 2] and mu = |nu| >= 0, the objects the stability boundaries and
-  contour grids are built from. Stability of a scheme means every surface
-  value stays at or below one.
+* stability surfaces (``stability_surface``, ``h_*``): the squared modulus
+  as a function of Y = 1 - cos(theta) in [0, 2] and mu = |nu| >= 0, the
+  objects the stability boundaries and contour grids are built from.
+  Stability of a scheme means every surface value stays at or below one.
 
 Implicit parabolic factors blow up where a backward substep hits its
 resonance; surfaces emit inf there (kept as a sentinel in grid output) while
@@ -42,6 +42,7 @@ __all__ = [
     "h_ptd_lie",
     "h_ptd_strang_rk2",
     "mode_multiplier",
+    "stability_surface",
 ]
 
 #: Stability is judged on this Y sample. The uniform part resolves interior
@@ -99,24 +100,19 @@ class AmpQuery:
     def z(self) -> float:
         return self.z_sign * math.sqrt(self.y * (2.0 - self.y))
 
-    @property
-    def x(self) -> float:
-        """Diffusion variable 2*Y*nu (signed with the eigenvalue)."""
-        return 2.0 * self.y * self.nu
-
 
 # ---------------------------------------------------------------------------
-# complex one-step factors (hyperbolic)
+# one-step multipliers; y, nu and z are floats or arrays alike
 
 
-def _p1(q: AmpQuery) -> complex:
+def _p1(y, nu, z):
     """Upwind Euler factor: forward K/L substeps and the full scheme."""
-    return complex(1.0 - q.mu * q.y, -q.nu * q.z)
+    return (1.0 - abs(nu) * y) - 1j * nu * z
 
 
 def amp_full_hyperbolic(q: AmpQuery) -> complex:
     """One-step factor of the full-tensor upwind forward Euler scheme."""
-    return _p1(q)
+    return _p1(q.y, q.nu, q.z)
 
 
 def amp_p1_p2_p3(q: AmpQuery) -> tuple[complex, complex, complex, complex]:
@@ -126,47 +122,55 @@ def amp_p1_p2_p3(q: AmpQuery) -> tuple[complex, complex, complex, complex]:
     reduced central substeps); the products P1^2 * P2 and P1 * P2 * P3 are
     the one-step factors of the two formulations.
     """
-    p1 = _p1(q)
+    p1 = _p1(q.y, q.nu, q.z)
     core = 1j * q.nu * q.z
     return p1, 2.0 - p1, 1.0 + core, 1.0 - core
 
 
-def _rk2(p: complex) -> complex:
+def _rk2(p):
     """Heun average: two Euler stages of factor p, then the midpoint."""
     return 0.5 * (1.0 + p * p)
 
 
-def _half(q: AmpQuery) -> AmpQuery:
-    return AmpQuery(y=q.y, nu=0.5 * q.nu, z_sign=q.z_sign)
-
-
-def _hyperbolic_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
+def _hyperbolic_multiplier(spec: SchemeSpec, y, nu, z):
+    p1 = _p1(y, nu, z)
     if spec.approach == "full_tensor":
-        return _p1(q)
+        return p1
     if spec.splitting == "lie":
-        p1 = _p1(q)
         if spec.approach == "dtp":
             return p1 * p1 * (2.0 - p1)
-        return p1 * (1.0 + 1j * q.nu * q.z) * (1.0 - 1j * q.nu * q.z)
-    qh = _half(q)
-    pk = _rk2(_p1(qh))
+        return p1 * (1.0 + 1j * nu * z) * (1.0 - 1j * nu * z)
+    half = _p1(y, 0.5 * nu, z)
+    pk = _rk2(half)
     if spec.approach == "dtp":
-        ps = _rk2(2.0 - _p1(qh))
-        pl = _rk2(_p1(q))
+        ps = _rk2(2.0 - half)
+        pl = _rk2(p1)
     else:
-        ps = _rk2(1.0 + 1j * qh.nu * qh.z)
-        pl = _rk2(1.0 - 1j * q.nu * q.z)
+        ps = _rk2(1.0 + 1j * (0.5 * nu) * z)
+        pl = _rk2(1.0 - 1j * nu * z)
     return pk * ps * pl * ps * pk
 
 
-# ---------------------------------------------------------------------------
-# real one-step factors (parabolic), scalar with pole checks
+def _g_parabolic(x, variant: str, theta: float | None, checked: bool):
+    """Diffusion multiplier at x = 2*Y*nu. Checked (scalar) evaluation raises
+    PoleError at a resonance; unchecked (array) evaluation yields inf there."""
 
+    def div(num, den):
+        if checked and abs(den) <= _POLE_TOL * (1.0 + abs(x)):
+            raise PoleError(x, variant)
+        return num / den
 
-def _div(num: float, den: float, x: float, where: str) -> float:
-    if abs(den) <= _POLE_TOL * (1.0 + abs(x)):
-        raise PoleError(x, where)
-    return num / den
+    if variant == "hybrid":
+        return div(1.0, 1.0 + x)
+    if variant == "strang_cn" or (variant == "dtp_lie_theta" and theta == 0.5):
+        # Strang telescopes to one Crank-Nicolson step; the Lie backward
+        # substep cancels one forward factor exactly.
+        return div(1.0 - 0.5 * x, 1.0 + 0.5 * x)
+    p1 = div(1.0 - (1.0 - theta) * x, 1.0 + theta * x)
+    if variant == "full_theta":
+        return p1
+    p2 = div(1.0 + (1.0 - theta) * x, 1.0 - theta * x)
+    return p1 * p1 * p2
 
 
 def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
@@ -184,122 +188,60 @@ def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
             raise ValueError("theta in [0, 1] is required for theta variants")
     elif theta is not None:
         raise ValueError(f"variant '{variant}' takes no theta")
+    return _g_parabolic(x, variant, theta, checked=True)
 
-    if variant == "hybrid":
-        return _div(1.0, 1.0 + x, x, variant)
-    if variant == "strang_cn":
-        return _div(1.0 - 0.5 * x, 1.0 + 0.5 * x, x, variant)
-    if variant == "dtp_lie_theta" and theta == 0.5:
-        # The backward substep cancels one forward factor exactly.
-        return _div(1.0 - 0.5 * x, 1.0 + 0.5 * x, x, variant)
-    p1 = _div(1.0 - (1.0 - theta) * x, 1.0 + theta * x, x, variant)
-    if variant == "full_theta":
-        return p1
-    p2 = _div(1.0 + (1.0 - theta) * x, 1.0 - theta * x, x, variant)
-    return p1 * p1 * p2
+
+def _multiplier(spec: SchemeSpec, y, nu, z, checked: bool):
+    """The one-step factor of every scheme, the single formula behind both
+    ``mode_multiplier`` and the stability surfaces."""
+    if spec.equation == "hyperbolic":
+        return _hyperbolic_multiplier(spec, y, nu, z)
+    x = 2.0 * y * nu
+    if spec.substep == "hybrid_be_fe_be":
+        return _g_parabolic(x, "hybrid", None, checked)
+    if spec.splitting == "strang":
+        return _g_parabolic(x, "strang_cn", None, checked)
+    variant = "full_theta" if spec.approach == "full_tensor" else "dtp_lie_theta"
+    return _g_parabolic(x, variant, spec.theta_value, checked)
 
 
 def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
     """Exact one-step factor of the scheme on the rank-1 Fourier probe."""
-    if spec.equation == "hyperbolic":
-        return _hyperbolic_multiplier(spec, q)
-    if spec.substep == "hybrid_be_fe_be":
-        return complex(g_parabolic(q.x, "hybrid"))
-    if spec.splitting == "strang":
-        return complex(g_parabolic(q.x, "strang_cn"))
-    if spec.approach == "full_tensor":
-        return complex(g_parabolic(q.x, "full_theta", spec.theta_value))
-    return complex(g_parabolic(q.x, "dtp_lie_theta", spec.theta_value))
+    return complex(_multiplier(spec, q.y, q.nu, q.z, checked=True))
 
 
 # ---------------------------------------------------------------------------
-# stability surfaces: h(Y, mu) = squared modulus of the one-step factor
+# stability surfaces: h(Y, mu) = |g(Y, nu = mu, z = sqrt(Y (2 - Y)))|^2
 
 
-def h_full_fe(y, mu):
-    """Upwind forward Euler on the full tensor."""
-    y = np.asarray(y, dtype=float)
-    return 1.0 + 2.0 * y * mu * (mu - 1.0)
+def _surface(g):
+    def surface(y, mu):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.abs(g(y, mu, np.sqrt(y * (2.0 - y)))) ** 2
+
+    return surface
 
 
-def h_dtp_lie(y, mu):
-    """Lie splitting, discretize then project, forward Euler substeps."""
-    y = np.asarray(y, dtype=float)
-    return (1.0 + 2.0 * y * mu * (mu - 1.0)) ** 2 * (1.0 + 2.0 * y * mu * (mu + 1.0))
-
-
-def h_ptd_lie(y, mu):
-    """Lie splitting, project then discretize, forward Euler substeps."""
-    y = np.asarray(y, dtype=float)
-    return (1.0 + 2.0 * y * mu * (mu - 1.0)) * (1.0 + mu**2 * y * (2.0 - y)) ** 2
-
-
-def _p1bar_sq(y, mu):
-    """Squared modulus of the Heun-averaged forward factor."""
-    s = 1.0 - mu * y
-    zz = mu**2 * y * (2.0 - y)
-    return 0.25 * (1.0 + s * s - zz) ** 2 + s * s * zz
-
-
-def _p2bar_dtp_sq(y, mu):
-    """Squared modulus of the Heun-averaged backward projected factor."""
-    s = 1.0 + mu * y
-    zz = mu**2 * y * (2.0 - y)
-    return 0.25 * (1.0 + s * s - zz) ** 2 + s * s * zz
-
-
-def _p23bar_ptd_sq(y, mu):
-    """Squared modulus of the Heun-averaged central reduced factors."""
-    zz = mu**2 * y * (2.0 - y)
-    return 0.25 * (2.0 - zz) ** 2 + zz
-
-
-def h_dtp_strang_rk2(y, mu):
-    """Strang splitting, discretize then project, Heun substeps."""
-    y = np.asarray(y, dtype=float)
-    return _p1bar_sq(y, 0.5 * mu) ** 2 * _p2bar_dtp_sq(y, 0.5 * mu) ** 2 * _p1bar_sq(y, mu)
-
-
-def h_ptd_strang_rk2(y, mu):
-    """Strang splitting, project then discretize, Heun substeps."""
-    y = np.asarray(y, dtype=float)
-    return (
-        _p1bar_sq(y, 0.5 * mu) ** 2
-        * _p23bar_ptd_sq(y, 0.5 * mu) ** 2
-        * _p23bar_ptd_sq(y, mu)
-    )
-
-
-def _g_parabolic_array(x, variant: str, theta: float | None):
-    """Vectorized diffusion multiplier; poles come out as inf, not raises."""
-    x = np.asarray(x, dtype=float)
-    if variant == "hybrid":
-        return 1.0 / (1.0 + x)
-    if variant == "strang_cn" or (variant == "dtp_lie_theta" and theta == 0.5):
-        return (1.0 - 0.5 * x) / (1.0 + 0.5 * x)
-    p1 = (1.0 - (1.0 - theta) * x) / (1.0 + theta * x)
-    if variant == "full_theta":
-        return p1
-    p2 = (1.0 + (1.0 - theta) * x) / (1.0 - theta * x)
-    return p1 * p1 * p2
+def stability_surface(spec: SchemeSpec):
+    """The (Y, mu) stability surface of a scheme, inf at implicit poles."""
+    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z, checked=False))
 
 
 def h_parabolic_surface(variant: str, theta: float | None = None):
-    """Build the (Y, mu) stability surface of a diffusion scheme.
-
-    Parameter checks reuse the scalar path; the returned callable maps a Y
-    sample and a scalar mu to the squared multiplier at x = 2*Y*mu, with inf
-    at resonances of the implicit substeps.
-    """
+    """The (Y, mu) stability surface of a diffusion multiplier variant."""
     g_parabolic(0.0, variant, theta)  # validate variant/theta pairing
+    return _surface(lambda y, nu, z: _g_parabolic(2.0 * y * nu, variant, theta, False))
 
-    def surface(y, mu):
-        x = 2.0 * np.asarray(y, dtype=float) * mu
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = _g_parabolic_array(x, variant, theta)
-        return g * g
 
-    return surface
+#: Hyperbolic surfaces: full-tensor upwind forward Euler, then the Lie
+#: (forward Euler substeps) and Strang (Heun substeps) splittings in the
+#: discretize-then-project and project-then-discretize formulations.
+h_full_fe = stability_surface(SchemeSpec("hyperbolic", "full_tensor"))
+h_dtp_lie = stability_surface(SchemeSpec("hyperbolic", "dtp"))
+h_ptd_lie = stability_surface(SchemeSpec("hyperbolic", "ptd"))
+h_dtp_strang_rk2 = stability_surface(SchemeSpec("hyperbolic", "dtp", "strang", "ssp_rk2"))
+h_ptd_strang_rk2 = stability_surface(SchemeSpec("hyperbolic", "ptd", "strang", "ssp_rk2"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 Subcommands: ``analyze`` (contour CSV of one scheme's stability surface),
 ``boundary`` (threshold table), ``simulate`` (norm history of a configured
-run), ``verify`` (stepper vs closed-form oracle report), ``figures`` (the
-four published surface grids).
+run), ``sweep`` (worst-mode runs across a range of cfl values), ``verify``
+(stepper vs closed-form oracle report), ``figures`` (the four published
+surface grids).
+
+Exit codes: 0 success, 1 oracle bound exceeded, 2 bad arguments,
+configuration or file, 3 a run failed numerically.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from .amplification import contour_grid
 from .harness import (
     BOUNDARY_SUITE,
     ConfigError,
+    ExperimentConfig,
+    NumericalError,
     emit_figure_grids,
     parse_config,
     parse_scheme_name,
@@ -57,6 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a configured experiment")
     simulate.add_argument("--config", required=True, help="experiment config file")
     simulate.add_argument("--out", required=True, help="norm-history CSV path")
+
+    sweep = sub.add_parser("sweep", help="worst-mode runs across the stability boundary")
+    sweep.add_argument("--scheme", default="hyp-dtp-lie-fe")
+    sweep.add_argument("--cfl", type=float, nargs="+", default=None,
+                       help="explicit cfl values (default: around the documented threshold)")
+    sweep.add_argument("--steps", type=int, default=1000)
+    sweep.add_argument("--n-x", type=int, default=64)
+    sweep.add_argument("--n-v", type=int, default=4)
+    sweep.add_argument("--rank", type=int, default=None,
+                       help="default: the probe's minimum faithful rank")
 
     verify = sub.add_parser("verify", help="stepper vs closed-form oracle check")
     verify.add_argument("--scheme", default=None,
@@ -109,6 +125,35 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _cmd_sweep(args) -> int:
+    """Final and peak norm ratios of the worst Fourier mode for each cfl,
+    which bracket the closed-form threshold empirically."""
+    info = parse_scheme_name(args.scheme)
+    hyperbolic = info.spec.equation == "hyperbolic"
+    cfls = args.cfl
+    if cfls is None:
+        ref = info.reference if isinstance(info.reference, float) else 1.0
+        cfls = [round(ref + d, 4) for d in (-0.02, -0.01, 0.0, 0.01, 0.02)]
+    rank = args.rank if args.rank is not None else (2 if hyperbolic else 1)
+
+    print(f"{args.scheme}: worst-mode sweep, {args.steps} steps, N_x = {args.n_x}")
+    for cfl in cfls:
+        cfg = ExperimentConfig(
+            scheme=info.spec,
+            n_x=args.n_x, n_v=args.n_v, rank=rank, cfl=cfl, steps=args.steps,
+            coefficient="linear" if hyperbolic else "square",
+            initial_data="worst_mode",
+        )
+        records = run_simulation(cfg)
+        initial = records[0].frobenius
+        final = records[-1].frobenius / initial
+        peak = max(r.frobenius for r in records) / initial
+        verdict = "stable" if stability_verdict(records) else "GROWING"
+        print(f"  cfl = {cfl:<8g} final/initial = {final:<12.6g} "
+              f"peak/initial = {peak:<12.6g} {verdict}")
+    return 0
+
+
 def _cmd_verify(args) -> int:
     names = (args.scheme,) if args.scheme else None
     lines, overall = verify_report(names)
@@ -130,6 +175,7 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "boundary": _cmd_boundary,
     "simulate": _cmd_simulate,
+    "sweep": _cmd_sweep,
     "verify": _cmd_verify,
     "figures": _cmd_figures,
 }
@@ -142,6 +188,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

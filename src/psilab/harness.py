@@ -20,15 +20,10 @@ from .amplification import (
     AmpQuery,
     BoundaryResult,
     PoleError,
-    find_boundary,
-    h_dtp_lie,
-    h_dtp_strang_rk2,
-    h_full_fe,
-    h_parabolic_surface,
-    h_ptd_lie,
-    h_ptd_strang_rk2,
-    mode_multiplier,
     contour_grid,
+    find_boundary,
+    mode_multiplier,
+    stability_surface,
 )
 from .discretize import (
     VDiscretization,
@@ -48,13 +43,14 @@ from .integrators import (
     reconstruct,
     step,
 )
-from .linalg import frobenius_norm, qr_thin
+from .linalg import SingularMatrixError, frobenius_norm, qr_thin
 
 __all__ = [
     "BOUNDARY_SUITE",
     "BoundaryRow",
     "ConfigError",
     "ExperimentConfig",
+    "NumericalError",
     "OracleRow",
     "RunRecord",
     "SchemeInfo",
@@ -81,6 +77,20 @@ _STABILITY_SLACK = 1e-8
 
 class ConfigError(ValueError):
     """Bad experiment configuration (syntax or violated constraint)."""
+
+
+class NumericalError(RuntimeError):
+    """A run left floating-point range or met a singular implicit solve."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"step {step} failed: {reason}")
+        self.step = step
+
+
+#: Stepper failures that mean the run itself broke down numerically.
+_NUMERICAL_FAILURES = (
+    SingularMatrixError, PoleError, np.linalg.LinAlgError, FloatingPointError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +282,72 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class SchemeInfo:
-    """Registry row: the spec behind a public scheme name plus its stability
-    surface, boundary-search parameters, and the documented threshold."""
+    """Registry row: the spec behind a public scheme name, its documented
+    threshold, and its boundary-search and contour parameters."""
 
     name: str
     spec: SchemeSpec
-    surface: Callable[[np.ndarray, float], np.ndarray]
-    mu_cap: float
-    bisect_tol: float
     reference: float | str | None
     reference_tol: float | None
-    contour_mu_max: float
+    mu_cap: float = 1e6
+    bisect_tol: float = 1e-7
+    contour_mu_max: float = 1.0
+
+    @property
+    def surface(self) -> Callable[[np.ndarray, float], np.ndarray]:
+        """Stability surface h(Y, mu) = |multiplier|^2 of the spec."""
+        return stability_surface(self.spec)
 
 
-def _theta_substep(theta: float) -> tuple[str, float | None]:
-    if theta == 0.0:
-        return "forward_euler", None
-    if theta == 0.5:
-        return "crank_nicolson", None
-    if theta == 1.0:
-        return "backward_euler", None
-    return "theta", theta
+_NAMED_SCHEMES = {
+    info.name: info
+    for info in (
+        SchemeInfo("hyp-full-fe", SchemeSpec("hyperbolic", "full_tensor"), 1.0, 1e-4,
+                   mu_cap=4.0, bisect_tol=1e-5, contour_mu_max=1.5),
+        SchemeInfo("hyp-dtp-lie-fe", SchemeSpec("hyperbolic", "dtp"), 1.0 / 3.0, 1e-4,
+                   mu_cap=4.0, bisect_tol=1e-5),
+        SchemeInfo("hyp-ptd-lie-fe", SchemeSpec("hyperbolic", "ptd"), 1.0 / 3.0, 1e-4,
+                   mu_cap=4.0, bisect_tol=1e-5),
+        SchemeInfo("hyp-dtp-strang-rk2", SchemeSpec("hyperbolic", "dtp", "strang", "ssp_rk2"),
+                   0.866, 1e-2, mu_cap=4.0, bisect_tol=1e-4, contour_mu_max=1.2),
+        SchemeInfo("hyp-ptd-strang-rk2", SchemeSpec("hyperbolic", "ptd", "strang", "ssp_rk2"),
+                   2.0, 1e-2, mu_cap=8.0, bisect_tol=1e-4, contour_mu_max=2.5),
+        SchemeInfo("par-hybrid", SchemeSpec("parabolic", "dtp", "lie", "hybrid_be_fe_be"),
+                   "unconditional", None),
+        SchemeInfo("par-strang-cn", SchemeSpec("parabolic", "dtp", "strang", "crank_nicolson"),
+                   "unconditional", None),
+    )
+}
+
+#: Theta-family name prefixes (the name ends in theta) and their approach.
+_THETA_FAMILIES = (
+    ("par-full-theta", "full_tensor"),
+    ("par-dtp-lie-theta", "dtp"),
+    ("par-ptd-lie-theta", "ptd"),
+)
+
+#: Documented thresholds of the Lie splittings with theta substeps.
+_LIE_THETA_REFERENCES = {
+    0.0: ((1.0 + np.sqrt(5.0)) / 8.0, 1e-6),
+    0.5: ("unconditional", None),
+    1.0: ((np.sqrt(5.0) - 1.0) / 8.0, 1e-6),
+}
+
+
+def _theta_spec(approach: str, theta: float) -> SchemeSpec:
+    named = {0.0: "forward_euler", 0.5: "crank_nicolson", 1.0: "backward_euler"}
+    if theta in named:
+        return SchemeSpec("parabolic", approach, "lie", named[theta])
+    return SchemeSpec("parabolic", approach, "lie", "theta", theta)
+
+
+def _theta_reference(approach: str, theta: float) -> tuple[float | str | None, float | None]:
+    if approach != "full_tensor":
+        return _LIE_THETA_REFERENCES.get(theta, (None, None))
+    # Full theta scheme: stable iff x(1 - 2 theta) <= 2, worst x = 4 mu.
+    if theta >= 0.5:
+        return "unconditional", None
+    return 0.5 / (1.0 - 2.0 * theta), 1e-6
 
 
 def _parse_theta_suffix(name: str, prefix: str) -> float:
@@ -313,82 +368,13 @@ def parse_scheme_name(name: str) -> SchemeInfo:
     hyp-dtp-strang-rk2, hyp-ptd-strang-rk2. Parabolic: par-full-theta<t>,
     par-dtp-lie-theta<t>, par-ptd-lie-theta<t>, par-hybrid, par-strang-cn.
     """
-    if name == "hyp-full-fe":
-        return SchemeInfo(
-            name, SchemeSpec("hyperbolic", "full_tensor"), h_full_fe,
-            mu_cap=4.0, bisect_tol=1e-5, reference=1.0, reference_tol=1e-4,
-            contour_mu_max=1.5,
-        )
-    if name == "hyp-dtp-lie-fe":
-        return SchemeInfo(
-            name, SchemeSpec("hyperbolic", "dtp"), h_dtp_lie,
-            mu_cap=4.0, bisect_tol=1e-5, reference=1.0 / 3.0, reference_tol=1e-4,
-            contour_mu_max=1.0,
-        )
-    if name == "hyp-ptd-lie-fe":
-        return SchemeInfo(
-            name, SchemeSpec("hyperbolic", "ptd"), h_ptd_lie,
-            mu_cap=4.0, bisect_tol=1e-5, reference=1.0 / 3.0, reference_tol=1e-4,
-            contour_mu_max=1.0,
-        )
-    if name == "hyp-dtp-strang-rk2":
-        return SchemeInfo(
-            name, SchemeSpec("hyperbolic", "dtp", "strang", "ssp_rk2"),
-            h_dtp_strang_rk2,
-            mu_cap=4.0, bisect_tol=1e-4, reference=0.866, reference_tol=1e-2,
-            contour_mu_max=1.2,
-        )
-    if name == "hyp-ptd-strang-rk2":
-        return SchemeInfo(
-            name, SchemeSpec("hyperbolic", "ptd", "strang", "ssp_rk2"),
-            h_ptd_strang_rk2,
-            mu_cap=8.0, bisect_tol=1e-4, reference=2.0, reference_tol=1e-2,
-            contour_mu_max=2.5,
-        )
-    if name == "par-hybrid":
-        return SchemeInfo(
-            name, SchemeSpec("parabolic", "dtp", "lie", "hybrid_be_fe_be"),
-            h_parabolic_surface("hybrid"),
-            mu_cap=1e6, bisect_tol=1e-7, reference="unconditional",
-            reference_tol=None, contour_mu_max=1.0,
-        )
-    if name == "par-strang-cn":
-        return SchemeInfo(
-            name, SchemeSpec("parabolic", "dtp", "strang", "crank_nicolson"),
-            h_parabolic_surface("strang_cn"),
-            mu_cap=1e6, bisect_tol=1e-7, reference="unconditional",
-            reference_tol=None, contour_mu_max=1.0,
-        )
-    if name.startswith("par-full-theta"):
-        theta = _parse_theta_suffix(name, "par-full-theta")
-        substep, extra = _theta_substep(theta)
-        # Full theta scheme: stable iff x(1 - 2 theta) <= 2, worst x = 4 mu.
-        reference = "unconditional" if theta >= 0.5 else 0.5 / (1.0 - 2.0 * theta)
-        return SchemeInfo(
-            name, SchemeSpec("parabolic", "full_tensor", "lie", substep, extra),
-            h_parabolic_surface("full_theta", theta),
-            mu_cap=1e6, bisect_tol=1e-7, reference=reference,
-            reference_tol=None if theta >= 0.5 else 1e-6, contour_mu_max=1.0,
-        )
-    for prefix, approach in (("par-dtp-lie-theta", "dtp"), ("par-ptd-lie-theta", "ptd")):
+    if name in _NAMED_SCHEMES:
+        return _NAMED_SCHEMES[name]
+    for prefix, approach in _THETA_FAMILIES:
         if name.startswith(prefix):
             theta = _parse_theta_suffix(name, prefix)
-            substep, extra = _theta_substep(theta)
-            reference: float | str | None
-            if theta == 0.0:
-                reference, rtol = (1.0 + np.sqrt(5.0)) / 8.0, 1e-6
-            elif theta == 0.5:
-                reference, rtol = "unconditional", None
-            elif theta == 1.0:
-                reference, rtol = (np.sqrt(5.0) - 1.0) / 8.0, 1e-6
-            else:
-                reference, rtol = None, None
-            return SchemeInfo(
-                name, SchemeSpec("parabolic", approach, "lie", substep, extra),
-                h_parabolic_surface("dtp_lie_theta", theta),
-                mu_cap=1e6, bisect_tol=1e-7, reference=reference,
-                reference_tol=rtol, contour_mu_max=1.0,
-            )
+            return SchemeInfo(name, _theta_spec(approach, theta),
+                              *_theta_reference(approach, theta))
     raise ValueError(f"unknown scheme name '{name}'")
 
 
@@ -593,9 +579,8 @@ def parabolic_mode_equivalence(
     Both formulations act identically on rank-1 probes; the routes differ
     only in how the projected products are grouped, so the gap is roundoff.
     """
-    substep, extra = _theta_substep(theta)
-    spec_dtp = SchemeSpec("parabolic", "dtp", "lie", substep, extra)
-    spec_ptd = SchemeSpec("parabolic", "ptd", "lie", substep, extra)
+    spec_dtp = _theta_spec("dtp", theta)
+    spec_ptd = _theta_spec("ptd", theta)
     vdisc = build_vdisc(coefficient, v_mode, n_v)
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     dt = derive_dt("parabolic", cfl, n_x, vdisc, strict=False)
@@ -812,7 +797,8 @@ def run_simulation(cfg: ExperimentConfig) -> list[RunRecord]:
     """Advance the configured scheme for the configured number of steps.
 
     Emits a record at step 0 and after each step. Deterministic for a fixed
-    config. Stepper failures abort with the step index attached.
+    config. A singular solve, a pole, or a norm that leaves floating-point
+    range aborts the run with a NumericalError carrying the step index.
     """
     vdisc, grid, dt = build_problem(cfg, strict=True)
     state = initial_state(cfg, vdisc, grid, dt)
@@ -820,26 +806,22 @@ def run_simulation(cfg: ExperimentConfig) -> list[RunRecord]:
     current = reconstruct(state) if dense else state
     start = time.perf_counter()
 
-    def record(index: int) -> RunRecord:
-        if dense:
-            return RunRecord(
-                index, frobenius_norm(current), 0.0, time.perf_counter() - start
-            )
-        return RunRecord(
-            index,
-            frobenius_norm(reconstruct(current)),
-            orthonormality_residual(current),
-            time.perf_counter() - start,
-        )
+    def record(index: int, norm: float) -> RunRecord:
+        ortho = 0.0 if dense else orthonormality_residual(current)
+        return RunRecord(index, norm, ortho, time.perf_counter() - start)
 
-    records = [record(0)]
+    records = [record(0, frobenius_norm(reconstruct(state)))]
     for index in range(1, cfg.steps + 1):
         try:
-            report = step(cfg.scheme, current, vdisc, grid, dt)
-        except Exception as exc:
-            raise RuntimeError(f"step {index} failed: {exc}") from exc
+            # Overflow raises at its first operation instead of seeding NaNs.
+            with np.errstate(over="raise", invalid="raise"):
+                report = step(cfg.scheme, current, vdisc, grid, dt)
+        except _NUMERICAL_FAILURES as exc:
+            raise NumericalError(index, str(exc)) from exc
+        if not np.isfinite(report.frobenius_after):
+            raise NumericalError(index, f"norm {report.frobenius_after} is not finite")
         current = report.state_after
-        records.append(record(index))
+        records.append(record(index, report.frobenius_after))
     return records
 
 

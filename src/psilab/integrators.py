@@ -20,6 +20,7 @@ mode probes can run through the production code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,6 @@ __all__ = [
     "full_step_parabolic",
     "init_lowrank",
     "orthonormality_residual",
-    "psi_lie_step_dtp_hyperbolic",
-    "psi_lie_step_parabolic",
-    "psi_lie_step_ptd_hyperbolic",
-    "psi_strang_step_hyperbolic",
-    "psi_strang_step_parabolic_cn",
     "reconstruct",
     "step",
 ]
@@ -61,7 +57,6 @@ _SUBSTEPS = (
     "theta",
     "hybrid_be_fe_be",
 )
-_THETA_FAMILY = ("forward_euler", "backward_euler", "crank_nicolson", "theta")
 
 _ORTHO_TOL = 1e-8
 
@@ -145,6 +140,9 @@ class LowRankState:
             )
         if x.shape[0] < r or v.shape[0] < r:
             raise ValueError("rank exceeds a factor dimension")
+        for name, f in (("X", x), ("S", s), ("V", v)):
+            if not np.isfinite(f).all():
+                raise FloatingPointError(f"factor {name} has non-finite entries")
         for name, f in (("X", x), ("V", v)):
             gram = f.conj().T @ f
             if frobenius_norm(gram - np.identity(r)) > _ORTHO_TOL:
@@ -294,276 +292,153 @@ def _implicit_columns(rhs, op, dec, c: float, theta: float, forward: bool):
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic PSI steppers
+# projector-splitting engine
+
+#: Substep sequence of each splitting: (factor, fraction of dt). K and L
+#: substeps end in a QR retraction of their factor.
+_SEQUENCES = {
+    "lie": (("K", 1.0), ("S", 1.0), ("L", 1.0)),
+    "strang": (("K", 0.5), ("S", 0.5), ("L", 1.0), ("S", 0.5), ("K", 0.5)),
+}
 
 
-def psi_lie_step_dtp_hyperbolic(
-    state: LowRankState, vdisc: VDiscretization, grid: XGrid, dt: float
-) -> StepReport:
-    """Lie splitting, forward Euler substeps, discretize-then-project form.
+class _VBasis:
+    """A V factor with V^T A V, |V^T A V| and its eigendecomposition, each
+    built at most once."""
 
-    Each substep evaluates the full upwind right-hand side on the
-    reconstructed slice and projects it back onto the factors; the core
-    update runs backward in time.
+    def __init__(self, v: np.ndarray, vdisc: VDiscretization):
+        self.v, self.vdisc = v, vdisc
+
+    @cached_property
+    def atil(self) -> np.ndarray:
+        return _projected_symmetric(self.v, self.vdisc.coeff)
+
+    @cached_property
+    def abs_atil(self) -> np.ndarray:
+        return matrix_abs(self.atil)
+
+    @cached_property
+    def tdec(self):
+        return sym_eig(self.atil)
+
+
+class _XBasis:
+    """An X factor with X^H m_alpha X and X^H m_beta X, each built at most
+    once."""
+
+    def __init__(self, x: np.ndarray, grid: XGrid):
+        self.x, self.grid = x, grid
+
+    @cached_property
+    def calpha(self) -> np.ndarray:
+        return self.x.conj().T @ (self.grid.m_alpha @ self.x)
+
+    @cached_property
+    def cbeta(self) -> np.ndarray:
+        return self.x.conj().T @ (self.grid.m_beta @ self.x)
+
+
+def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
+    """Right-hand side of one advection substep.
+
+    dtp applies the full upwind flux to the reconstructed slice and projects
+    back; ptd upwinds the K substep with |V^T A V| and integrates the core
+    and L substeps with the central projected equations. The core substep
+    runs backward in time.
     """
-    before = frobenius_norm(reconstruct(state))
-    events = 0
-    v0 = state.V
-    v0h = v0.conj().T
-
-    k = state.X @ state.S
-    k = k + dt * (_flux_hyperbolic(k @ v0h, vdisc, grid) @ v0)
-    x1, s1, ev = qr_thin_counted(k)
-    events += ev
-
-    s2 = s1 - dt * (x1.conj().T @ _flux_hyperbolic(x1 @ s1 @ v0h, vdisc, grid) @ v0)
-
-    low = s2 @ v0h
-    low = low + dt * (x1.conj().T @ _flux_hyperbolic(x1 @ low, vdisc, grid))
-    v1, rl, ev = qr_thin_counted(low.conj().T)
-    events += ev
-
-    new = LowRankState(X=x1, S=rl.conj().T, V=v1)
-    return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
-
-
-def psi_lie_step_ptd_hyperbolic(
-    state: LowRankState, vdisc: VDiscretization, grid: XGrid, dt: float
-) -> StepReport:
-    """Lie splitting, forward Euler substeps, project-then-discretize form.
-
-    The K substep upwinds with |V^T A V|; the core and L substeps integrate
-    the central projected equations (no dissipation term).
-    """
-    before = frobenius_norm(reconstruct(state))
-    events = 0
-    c = 1.0 / (2.0 * grid.dx)
-    v0 = state.V
-    atil = _projected_symmetric(v0, vdisc.coeff)
-    abs_atil = matrix_abs(atil)
-
-    k = state.X @ state.S
-    k = k + dt * c * (grid.m_beta @ k @ abs_atil - grid.m_alpha @ k @ atil)
-    x1, s1, ev = qr_thin_counted(k)
-    events += ev
-
-    calpha = x1.conj().T @ (grid.m_alpha @ x1)
-    s2 = s1 + dt * c * (calpha @ s1 @ atil)
-
-    low = s2 @ v0.conj().T
-    low = low - dt * c * (calpha @ low @ vdisc.coeff)
-    v1, rl, ev = qr_thin_counted(low.conj().T)
-    events += ev
-
-    new = LowRankState(X=x1, S=rl.conj().T, V=v1)
-    return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
-
-
-def psi_strang_step_hyperbolic(
-    state: LowRankState, vdisc: VDiscretization, grid: XGrid, dt: float, approach: str
-) -> StepReport:
-    """Strang splitting (half K, half core, full L, half core, half K).
-
-    Every substep advances with SSP-RK2 applied to its own vector field; the
-    core substeps integrate the backward-in-time projected equation. The
-    projected matrices are rebuilt whenever QR updates a basis factor.
-    """
-    if approach not in ("dtp", "ptd"):
-        raise ValueError(f"approach must be dtp or ptd, got '{approach}'")
-    before = frobenius_norm(reconstruct(state))
-    events = 0
-    half = 0.5 * dt
-    c = 1.0 / (2.0 * grid.dx)
-
-    def k_rhs(v):
-        if approach == "dtp":
-            vh = v.conj().T
-            return lambda k: _flux_hyperbolic(k @ vh, vdisc, grid) @ v
-        atil = _projected_symmetric(v, vdisc.coeff)
-        abs_atil = matrix_abs(atil)
-        return lambda k: c * (grid.m_beta @ k @ abs_atil - grid.m_alpha @ k @ atil)
-
-    def s_rhs(x, v):
-        if approach == "dtp":
-            vh = v.conj().T
-            xh = x.conj().T
-            return lambda s: -(xh @ _flux_hyperbolic(x @ s @ vh, vdisc, grid) @ v)
-        atil = _projected_symmetric(v, vdisc.coeff)
-        calpha = x.conj().T @ (grid.m_alpha @ x)
+    g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
+    if approach == "dtp":
+        vh, xh = v.conj().T, x.conj().T
+        if factor == "K":
+            return lambda k: _flux_hyperbolic(k @ vh, vd, g) @ v
+        if factor == "S":
+            return lambda s: -(xh @ _flux_hyperbolic(x @ s @ vh, vd, g) @ v)
+        return lambda low: xh @ _flux_hyperbolic(x @ low, vd, g)
+    c = 1.0 / (2.0 * g.dx)
+    if factor == "K":
+        atil, abs_atil = vb.atil, vb.abs_atil
+        return lambda k: c * (g.m_beta @ k @ abs_atil - g.m_alpha @ k @ atil)
+    calpha = xb.calpha
+    if factor == "S":
+        atil = vb.atil
         return lambda s: c * (calpha @ s @ atil)
+    return lambda low: -c * (calpha @ low @ vd.coeff)
 
-    def l_rhs(x):
+
+def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
+    """Right-hand side of one diffusion substep, per unit dt/dx^2; the core
+    substep runs backward in time."""
+    g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
+    if factor == "K":
         if approach == "dtp":
-            xh = x.conj().T
-            return lambda low: xh @ _flux_hyperbolic(x @ low, vdisc, grid)
-        calpha = x.conj().T @ (grid.m_alpha @ x)
-        return lambda low: -c * (calpha @ low @ vdisc.coeff)
-
-    v0 = state.V
-    k = _ssp_rk2(state.X @ state.S, k_rhs(v0), half)
-    x1, s1, ev = qr_thin_counted(k)
-    events += ev
-
-    s2 = _ssp_rk2(s1, s_rhs(x1, v0), half)
-
-    low = _ssp_rk2(s2 @ v0.conj().T, l_rhs(x1), dt)
-    v1, rl, ev = qr_thin_counted(low.conj().T)
-    events += ev
-    s3 = rl.conj().T
-
-    s4 = _ssp_rk2(s3, s_rhs(x1, v1), half)
-
-    k2 = _ssp_rk2(x1 @ s4, k_rhs(v1), half)
-    x2, s5, ev = qr_thin_counted(k2)
-    events += ev
-
-    new = LowRankState(X=x2, S=s5, V=v1)
-    return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
-
-
-# ---------------------------------------------------------------------------
-# parabolic PSI steppers
-
-
-def _diffusion_k(k, v, vdisc, grid, approach, atil):
+            vh = v.conj().T
+            return lambda k: g.m_beta @ (k @ vh) @ vd.coeff @ v
+        atil = vb.atil
+        return lambda k: g.m_beta @ (k @ atil)
+    xh = x.conj().T
+    if factor == "S":
+        if approach == "dtp":
+            vh = v.conj().T
+            return lambda s: -(xh @ (g.m_beta @ (x @ s @ vh) @ vd.coeff) @ v)
+        cbeta, atil = xb.cbeta, vb.atil
+        return lambda s: -(cbeta @ (s @ atil))
     if approach == "dtp":
-        return grid.m_beta @ (k @ v.conj().T) @ vdisc.coeff @ v
-    return grid.m_beta @ (k @ atil)
+        return lambda low: xh @ (g.m_beta @ (x @ low) @ vd.coeff)
+    cbeta = xb.cbeta
+    return lambda low: cbeta @ (low @ vd.coeff)
 
 
-def _diffusion_s(s, x, v, vdisc, grid, approach, atil, cbeta):
-    if approach == "dtp":
-        return x.conj().T @ (grid.m_beta @ (x @ s @ v.conj().T) @ vdisc.coeff) @ v
-    return cbeta @ (s @ atil)
+def _parabolic_implicit(factor: str, xb: _XBasis, vb: _VBasis):
+    """(left operator, right decomposition, forward?) of the implicit part
+    of a diffusion substep; both formulations solve the projected system."""
+    if factor == "K":
+        return xb.grid.m_beta, vb.tdec, True
+    if factor == "S":
+        return xb.cbeta, vb.tdec, False
+    return xb.cbeta, vb.vdisc.spectrum, True
 
 
-def _diffusion_l(low, x, vdisc, grid, approach, cbeta):
-    if approach == "dtp":
-        return x.conj().T @ (grid.m_beta @ (x @ low) @ vdisc.coeff)
-    return cbeta @ (low @ vdisc.coeff)
+def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: float):
+    """One substep of length h with the scheme's substep integrator:
+    forward Euler or SSP-RK2 (hyperbolic), theta or the hybrid's
+    theta = 1, 0, 1 on K, S, L (parabolic)."""
+    if spec.equation == "hyperbolic":
+        rhs = _hyperbolic_field(spec.approach, factor, xb, vb)
+        if spec.substep == "ssp_rk2":
+            return _ssp_rk2(y, rhs, h)
+        return y + h * rhs(y)
+    if spec.substep == "hybrid_be_fe_be":
+        theta = 0.0 if factor == "S" else 1.0
+    else:
+        theta = spec.theta_value
+    c = h / xb.grid.dx**2
+    if theta != 1.0:
+        y = y + (1.0 - theta) * c * _parabolic_field(spec.approach, factor, xb, vb)(y)
+    if theta == 0.0:
+        return y
+    op, dec, forward = _parabolic_implicit(factor, xb, vb)
+    return _implicit_columns(y, op, dec, c, theta, forward)
 
 
-def psi_lie_step_parabolic(
-    state: LowRankState,
-    vdisc: VDiscretization,
-    grid: XGrid,
-    dt: float,
-    approach: str,
-    substep: str,
-    theta: float | None = None,
-) -> StepReport:
-    """Lie splitting for the diffusion system with theta-family or hybrid
-    substeps.
-
-    Implicit parts decouple per eigendirection of the projected coefficient
-    and reduce to dense solves; the backward core substep carries the
-    flipped sign and with it the implicit pole. ``hybrid_be_fe_be`` runs
-    backward Euler on K and L with a forward Euler core.
-    """
-    if approach not in ("dtp", "ptd"):
-        raise ValueError(f"approach must be dtp or ptd, got '{approach}'")
-    hybrid = substep == "hybrid_be_fe_be"
-    if not hybrid:
-        if substep not in _THETA_FAMILY:
-            raise ValueError(f"unknown parabolic substep '{substep}'")
-        th = SchemeSpec(
-            equation="parabolic", approach=approach, substep=substep, theta=theta
-        ).theta_value
+def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> StepReport:
+    """One projector-splitting step: the splitting's substep sequence, with a
+    QR retraction after every K and L substep."""
     before = frobenius_norm(reconstruct(state))
+    xb, vb, s = _XBasis(state.X, grid), _VBasis(state.V, vdisc), state.S
     events = 0
-    c = dt / grid.dx**2
-    v0 = state.V
-    atil = _projected_symmetric(v0, vdisc.coeff)
-    tdec = sym_eig(atil)
-
-    k = state.X @ state.S
-    if hybrid:
-        k = _implicit_columns(k, grid.m_beta, tdec, c, 1.0, forward=True)
-    else:
-        rhs = k + (1.0 - th) * c * _diffusion_k(k, v0, vdisc, grid, approach, atil)
-        k = _implicit_columns(rhs, grid.m_beta, tdec, c, th, forward=True)
-    x1, s1, ev = qr_thin_counted(k)
-    events += ev
-
-    cbeta = x1.conj().T @ (grid.m_beta @ x1)
-    if hybrid:
-        s2 = s1 - c * _diffusion_s(s1, x1, v0, vdisc, grid, approach, atil, cbeta)
-    else:
-        rhs = s1 - (1.0 - th) * c * _diffusion_s(s1, x1, v0, vdisc, grid, approach, atil, cbeta)
-        s2 = _implicit_columns(rhs, cbeta, tdec, c, th, forward=False)
-
-    low = s2 @ v0.conj().T
-    if hybrid:
-        low = _implicit_columns(low, cbeta, vdisc.spectrum, c, 1.0, forward=True)
-    else:
-        rhs = low + (1.0 - th) * c * _diffusion_l(low, x1, vdisc, grid, approach, cbeta)
-        low = _implicit_columns(rhs, cbeta, vdisc.spectrum, c, th, forward=True)
-    v1, rl, ev = qr_thin_counted(low.conj().T)
-    events += ev
-
-    new = LowRankState(X=x1, S=rl.conj().T, V=v1)
-    return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
-
-
-def psi_strang_step_parabolic_cn(
-    state: LowRankState,
-    vdisc: VDiscretization,
-    grid: XGrid,
-    dt: float,
-    approach: str = "dtp",
-) -> StepReport:
-    """Strang splitting with Crank-Nicolson substeps for the diffusion system.
-
-    Half K, half core, full L, half core, half K; projected matrices are
-    rebuilt after each QR retraction. On Fourier modes the five factors
-    telescope to the single-step Crank-Nicolson multiplier.
-    """
-    if approach not in ("dtp", "ptd"):
-        raise ValueError(f"approach must be dtp or ptd, got '{approach}'")
-    before = frobenius_norm(reconstruct(state))
-    events = 0
-    theta = 0.5
-
-    def k_sub(k, v, dt_sub):
-        atil = _projected_symmetric(v, vdisc.coeff)
-        tdec = sym_eig(atil)
-        c = dt_sub / grid.dx**2
-        rhs = k + (1.0 - theta) * c * _diffusion_k(k, v, vdisc, grid, approach, atil)
-        return _implicit_columns(rhs, grid.m_beta, tdec, c, theta, forward=True)
-
-    def s_sub(s, x, v, dt_sub):
-        atil = _projected_symmetric(v, vdisc.coeff)
-        tdec = sym_eig(atil)
-        cbeta = x.conj().T @ (grid.m_beta @ x)
-        c = dt_sub / grid.dx**2
-        rhs = s - (1.0 - theta) * c * _diffusion_s(s, x, v, vdisc, grid, approach, atil, cbeta)
-        return _implicit_columns(rhs, cbeta, tdec, c, theta, forward=False)
-
-    def l_sub(low, x, dt_sub):
-        cbeta = x.conj().T @ (grid.m_beta @ x)
-        c = dt_sub / grid.dx**2
-        rhs = low + (1.0 - theta) * c * _diffusion_l(low, x, vdisc, grid, approach, cbeta)
-        return _implicit_columns(rhs, cbeta, vdisc.spectrum, c, theta, forward=True)
-
-    half = 0.5 * dt
-    v0 = state.V
-    k = k_sub(state.X @ state.S, v0, half)
-    x1, s1, ev = qr_thin_counted(k)
-    events += ev
-
-    s2 = s_sub(s1, x1, v0, half)
-
-    low = l_sub(s2 @ v0.conj().T, x1, dt)
-    v1, rl, ev = qr_thin_counted(low.conj().T)
-    events += ev
-
-    s3 = s_sub(rl.conj().T, x1, v1, half)
-
-    k2 = k_sub(x1 @ s3, v1, half)
-    x2, s4, ev = qr_thin_counted(k2)
-    events += ev
-
-    new = LowRankState(X=x2, S=s4, V=v1)
+    for factor, fraction in _SEQUENCES[spec.splitting]:
+        h = fraction * dt
+        if factor == "K":
+            x, s, ev = qr_thin_counted(_advance(spec, "K", xb, vb, xb.x @ s, h))
+            xb = _XBasis(x, grid)
+        elif factor == "S":
+            s, ev = _advance(spec, "S", xb, vb, s, h), 0
+        else:
+            low = _advance(spec, "L", xb, vb, s @ vb.v.conj().T, h)
+            v, rl, ev = qr_thin_counted(low.conj().T)
+            vb, s = _VBasis(v, vdisc), rl.conj().T
+        events += ev
+    new = LowRankState(X=xb.x, S=s, V=vb.v)
     return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
 
 
@@ -596,28 +471,11 @@ def step(
         return StepReport(current, norm, norm, 0)
     if spec.approach == "full_tensor":
         u = np.asarray(current)
-        before = frobenius_norm(u)
         if spec.equation == "hyperbolic":
-            if spec.substep != "forward_euler":
-                raise ValueError("full-tensor hyperbolic stepping is forward Euler only")
             after = full_step_hyperbolic(u, vdisc, grid, dt)
         else:
             after = full_step_parabolic(u, vdisc, grid, dt, spec.theta_value)
-        return StepReport(after, before, frobenius_norm(after), 0)
-
-    state = current
-    if not isinstance(state, LowRankState):
+        return StepReport(after, frobenius_norm(u), frobenius_norm(after), 0)
+    if not isinstance(current, LowRankState):
         raise TypeError("low-rank schemes need a LowRankState")
-    if spec.equation == "hyperbolic":
-        if spec.splitting == "strang":
-            return psi_strang_step_hyperbolic(state, vdisc, grid, dt, spec.approach)
-        if spec.substep != "forward_euler":
-            raise ValueError("hyperbolic Lie splitting is defined with forward Euler")
-        if spec.approach == "dtp":
-            return psi_lie_step_dtp_hyperbolic(state, vdisc, grid, dt)
-        return psi_lie_step_ptd_hyperbolic(state, vdisc, grid, dt)
-    if spec.splitting == "strang":
-        return psi_strang_step_parabolic_cn(state, vdisc, grid, dt, spec.approach)
-    return psi_lie_step_parabolic(
-        state, vdisc, grid, dt, spec.approach, spec.substep, spec.theta
-    )
+    return _psi_step(spec, current, vdisc, grid, dt)

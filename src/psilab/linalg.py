@@ -110,8 +110,14 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     n, r = a.shape
     if n < r:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {n}x{r}")
-    work = a.copy()
     scale = np.linalg.norm(a)
+    if not 1e-100 <= scale <= 1e100:
+        # The reflector norms square the entries; rescale so they stay in range.
+        peak = float(np.abs(a).max(initial=0.0))
+        if 0.0 < peak < np.inf:
+            q, rfac, events = qr_thin_counted(a / peak)
+            return q, rfac * peak, events
+    work = a.copy()
     reflectors: list[tuple[int, np.ndarray, float]] = []
     completed: list[int] = []
     for j in range(r):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from psilab.amplification import (
     AmpQuery,
     PoleError,
+    Y_GRID,
     amp_full_hyperbolic,
     amp_p1_p2_p3,
     contour_grid,
@@ -19,8 +20,9 @@ from psilab.amplification import (
     h_parabolic_surface,
     h_ptd_lie,
     h_ptd_strang_rk2,
+    mode_multiplier,
 )
-from psilab.harness import parse_scheme_name
+from psilab.harness import BOUNDARY_SUITE, parse_scheme_name
 
 _Y = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 _NU = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -82,6 +84,24 @@ def test_lie_surfaces_match_factor_products(y, nu, sign):
     assert h_dtp_lie(y, mu) == pytest.approx(abs(p1) ** 4 * abs(p2_dtp) ** 2, abs=1e-12 * scale)
     ptd = abs(p1) ** 2 * (p2_ptd * p3_ptd).real ** 2
     assert h_ptd_lie(y, mu) == pytest.approx(ptd, abs=1e-12 * max(1.0, ptd))
+
+
+@pytest.mark.parametrize("name", BOUNDARY_SUITE)
+def test_surfaces_match_mode_multiplier(name):
+    """Every registry surface is |mode_multiplier|^2 at nu = mu, z >= 0, and
+    both place the implicit poles at the same Y (mu = 1/4 and 1/2 put the
+    backward Euler pole x = 1 on the grid)."""
+    info = parse_scheme_name(name)
+    for mu in (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.866, 1.0, 2.0):
+        surface = info.surface(Y_GRID, mu)
+        for y, h in zip(Y_GRID, surface):
+            try:
+                g = mode_multiplier(info.spec, AmpQuery(float(y), mu, 1.0))
+            except PoleError:
+                assert not np.isfinite(h), (mu, y, h)
+                continue
+            want = abs(g) ** 2
+            assert abs(h - want) <= 1e-13 * max(abs(h), want), (mu, y, h, want)
 
 
 @settings(deadline=None, max_examples=30)

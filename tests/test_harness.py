@@ -10,6 +10,7 @@ from psilab.harness import (
     BOUNDARY_SUITE,
     ConfigError,
     ExperimentConfig,
+    NumericalError,
     RunRecord,
     build_problem,
     derive_dt,
@@ -373,3 +374,54 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
                      "--out", str(tmp_path / "y.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+_DIVERGING = """
+equation = parabolic
+approach = dtp
+splitting = lie
+substep = forward_euler
+N_x = 64
+N_v = 16
+rank = 4
+coefficient = square
+cfl = 0.6
+steps = 3000
+initial_data = random_rank_r
+"""
+
+# The backward Euler variant lands on the core substep's pole at once.
+_ON_POLE = (
+    _DIVERGING.replace("forward_euler", "backward_euler")
+    .replace("cfl = 0.6", "cfl = 0.25")
+    .replace("random_rank_r", "worst_mode")
+)
+
+
+@pytest.mark.parametrize("doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1)])
+def test_numerical_failure_carries_step(doc, failed_step):
+    with pytest.raises(NumericalError, match=f"step {failed_step} failed") as info:
+        run_simulation(parse_config(doc))
+    assert info.value.step == failed_step
+
+
+@pytest.mark.parametrize("doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1)])
+def test_cli_simulate_numerical_failure_exits_3(tmp_path, capsys, doc, failed_step):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(doc, encoding="utf-8")
+    code = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "h.csv")])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: step {failed_step} failed")
+
+
+def test_cli_sweep_rows(capsys):
+    code = cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--cfl", "0.3", "0.4",
+                     "--steps", "200", "--n-x", "32"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "hyp-dtp-lie-fe: worst-mode sweep, 200 steps, N_x = 32"
+    assert len(lines) == 3
+    assert lines[1].startswith("  cfl = 0.3 ") and lines[1].endswith(" stable")
+    assert lines[2].startswith("  cfl = 0.4 ") and lines[2].endswith(" GROWING")

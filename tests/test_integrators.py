@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psilab.discretize import build_xgrid
 from psilab.harness import (
@@ -12,8 +14,10 @@ from psilab.harness import (
     measured_mode_multiplier,
     parabolic_mode_equivalence,
     parse_scheme_name,
+    run_oracle_suite,
 )
 from psilab.integrators import (
+    LowRankState,
     SchemeSpec,
     init_lowrank,
     orthonormality_residual,
@@ -109,6 +113,39 @@ def test_complex_mode_state_is_unit_rank_one():
     assert np.linalg.matrix_rank(dense) == 1
 
 
+_COEFFICIENTS = st.one_of(
+    st.sampled_from(["linear", "abs", "square"]),
+    st.floats(min_value=0.05, max_value=4.0).map(lambda c: f"const:{c!r}"),
+)
+
+
+@st.composite
+def _oracle_problems(draw):
+    name = draw(st.sampled_from(VERIFY_SCHEMES))
+    n_x = draw(st.integers(min_value=3, max_value=32))
+    n_v = draw(st.integers(min_value=1, max_value=8))
+    coefficient = draw(_COEFFICIENTS)
+    v_mode = draw(st.sampled_from(["nodal", "modal"]))
+    # |x| = 2 Y |nu| <= 4 cfl < 1 keeps every implicit factor off its pole.
+    cap = 1.0 if name.startswith("hyp") else 0.24
+    cfl = draw(st.floats(min_value=0.0, max_value=cap))
+    return name, n_x, n_v, coefficient, v_mode, cfl
+
+
+@settings(deadline=None, max_examples=100)
+@given(_oracle_problems())
+def test_oracle_holds_on_random_problems(problem):
+    """The stepper/closed-form contract of ``psilab verify`` on problems
+    beyond its fixed 16 x 4 grid."""
+    name, n_x, n_v, coefficient, v_mode, cfl = problem
+    equation = "hyperbolic" if name.startswith("hyp") else "parabolic"
+    vdisc = build_vdisc(coefficient, v_mode, n_v)
+    assume(vdisc.lambda_max(equation, strict=False) > 0.0)  # dt needs a speed
+    rows = run_oracle_suite(name, n_x=n_x, n_v=n_v, coefficient=coefficient,
+                            v_mode=v_mode, cfl=cfl)
+    assert max(row.discrepancy for row in rows) <= 1e-10
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 def test_parabolic_formulations_agree_per_mode(theta):
     assert parabolic_mode_equivalence(theta, n_x=_NX, n_v=_NV) <= 1e-12
@@ -195,3 +232,15 @@ def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(equation="hyperbolic", approach="dtp", splitting="strang",
                    substep="forward_euler")
+
+
+@pytest.mark.parametrize("factor", ["X", "S", "V"])
+def test_state_rejects_non_finite_factors(factor):
+    state = init_lowrank(np.random.default_rng(4).standard_normal((_NX, _NV)), 2)
+    factors = {"X": state.X.copy(), "S": state.S.copy(), "V": state.V.copy()}
+    factors[factor][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=f"factor {factor}"):
+        LowRankState(**factors)
+    factors[factor][0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match=f"factor {factor}"):
+        LowRankState(**factors)

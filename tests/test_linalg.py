@@ -48,6 +48,17 @@ def test_qr_reconstructs_with_orthonormal_factor(mat):
     assert (np.diag(r) >= 0).all()
 
 
+@pytest.mark.parametrize("magnitude", [5.7e-157, 1e-200, 1e120, 1e200])
+def test_qr_far_from_unit_scale(magnitude):
+    # Householder norms square the entries: without rescaling these
+    # under- or overflow and the frame comes back non-finite
+    mat = magnitude * np.array([[3.0, 1.0], [4.0, 2.0], [1.0, -1.0]])
+    with np.errstate(over="ignore"):
+        q, r = qr_thin(mat)
+    np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(q @ r, mat, rtol=0, atol=1e-12 * magnitude)
+
+
 def test_qr_rank_deficient_completion():
     # duplicate columns: the span collapses but the frame must stay orthonormal
     col = np.arange(1.0, 7.0)
