@@ -151,26 +151,37 @@ def _hyperbolic_multiplier(spec: SchemeSpec, y, nu, z):
     return pk * ps * pl * ps * pk
 
 
-def _g_parabolic(x, variant: str, theta: float | None, checked: bool):
-    """Diffusion multiplier at x = 2*Y*nu. Checked (scalar) evaluation raises
-    PoleError at a resonance; unchecked (array) evaluation yields inf there."""
+def _g_parabolic(x, variant: str, theta: float | None, poles: str):
+    """Diffusion multiplier at x = 2*Y*nu.
+
+    Within _POLE_TOL of a resonance, ``poles="raise"`` (scalars) raises
+    PoleError and ``poles="inf"`` (arrays) yields inf; ``poles="raw"``
+    (arrays) divides as is, so only an exact resonance yields inf.
+    """
+    near = False
 
     def div(num, den):
-        if checked and abs(den) <= _POLE_TOL * (1.0 + abs(x)):
-            raise PoleError(x, variant)
+        nonlocal near
+        if poles == "raise":
+            if abs(den) <= _POLE_TOL * (1.0 + abs(x)):
+                raise PoleError(x, variant)
+        elif poles == "inf":
+            near = near | (np.abs(den) <= _POLE_TOL * (1.0 + np.abs(x)))
         return num / den
 
     if variant == "hybrid":
-        return div(1.0, 1.0 + x)
-    if variant == "strang_cn" or (variant == "dtp_lie_theta" and theta == 0.5):
+        g = div(1.0, 1.0 + x)
+    elif variant == "strang_cn" or (variant == "dtp_lie_theta" and theta == 0.5):
         # Strang telescopes to one Crank-Nicolson step; the Lie backward
         # substep cancels one forward factor exactly.
-        return div(1.0 - 0.5 * x, 1.0 + 0.5 * x)
-    p1 = div(1.0 - (1.0 - theta) * x, 1.0 + theta * x)
-    if variant == "full_theta":
-        return p1
-    p2 = div(1.0 + (1.0 - theta) * x, 1.0 - theta * x)
-    return p1 * p1 * p2
+        g = div(1.0 - 0.5 * x, 1.0 + 0.5 * x)
+    else:
+        g = div(1.0 - (1.0 - theta) * x, 1.0 + theta * x)
+        if variant != "full_theta":
+            g = g * g * div(1.0 + (1.0 - theta) * x, 1.0 - theta * x)
+    if poles == "inf":
+        g = np.where(near, np.inf, g)
+    return g
 
 
 def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
@@ -188,26 +199,27 @@ def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
             raise ValueError("theta in [0, 1] is required for theta variants")
     elif theta is not None:
         raise ValueError(f"variant '{variant}' takes no theta")
-    return _g_parabolic(x, variant, theta, checked=True)
+    return _g_parabolic(x, variant, theta, poles="raise")
 
 
-def _multiplier(spec: SchemeSpec, y, nu, z, checked: bool):
-    """The one-step factor of every scheme, the single formula behind both
-    ``mode_multiplier`` and the stability surfaces."""
+def _multiplier(spec: SchemeSpec, y, nu, z, poles: str):
+    """The one-step factor of every scheme, the single formula behind
+    ``mode_multiplier``, the stability surfaces and the worst-mode scan.
+    ``poles`` is "raise", "inf" or "raw", as in ``_g_parabolic``."""
     if spec.equation == "hyperbolic":
         return _hyperbolic_multiplier(spec, y, nu, z)
     x = 2.0 * y * nu
     if spec.substep == "hybrid_be_fe_be":
-        return _g_parabolic(x, "hybrid", None, checked)
+        return _g_parabolic(x, "hybrid", None, poles)
     if spec.splitting == "strang":
-        return _g_parabolic(x, "strang_cn", None, checked)
+        return _g_parabolic(x, "strang_cn", None, poles)
     variant = "full_theta" if spec.approach == "full_tensor" else "dtp_lie_theta"
-    return _g_parabolic(x, variant, spec.theta_value, checked)
+    return _g_parabolic(x, variant, spec.theta_value, poles)
 
 
 def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
     """Exact one-step factor of the scheme on the rank-1 Fourier probe."""
-    return complex(_multiplier(spec, q.y, q.nu, q.z, checked=True))
+    return complex(_multiplier(spec, q.y, q.nu, q.z, poles="raise"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +237,13 @@ def _surface(g):
 
 def stability_surface(spec: SchemeSpec):
     """The (Y, mu) stability surface of a scheme, inf at implicit poles."""
-    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z, checked=False))
+    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z, poles="raw"))
 
 
 def h_parabolic_surface(variant: str, theta: float | None = None):
     """The (Y, mu) stability surface of a diffusion multiplier variant."""
     g_parabolic(0.0, variant, theta)  # validate variant/theta pairing
-    return _surface(lambda y, nu, z: _g_parabolic(2.0 * y * nu, variant, theta, False))
+    return _surface(lambda y, nu, z: _g_parabolic(2.0 * y * nu, variant, theta, "raw"))
 
 
 #: Hyperbolic surfaces: full-tensor upwind forward Euler, then the Lie

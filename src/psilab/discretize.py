@@ -3,13 +3,15 @@
 Velocity space: a coefficient function a(v) turned into a symmetric operator,
 either nodal (diagonal on given points) or modal (normalized Legendre basis on
 [-1, 1] with Gauss-Legendre quadrature). Physical space: periodic
-difference matrices on a uniform grid, plus the Fourier modes and per-mode
-trigonometric shorthand the stability analysis runs on.
+difference stencils on a uniform grid, applied by shifts and diagonal on
+Fourier modes, plus the per-mode trigonometric shorthand the stability
+analysis runs on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,17 +77,52 @@ class VDiscretization:
 
 @dataclass(frozen=True)
 class XGrid:
-    """Uniform periodic grid with its central difference matrices.
+    """Uniform periodic grid with its central difference stencils.
 
-    ``m_alpha`` is the antisymmetric first-difference stencil (u_{j+1} -
-    u_{j-1}), ``m_beta`` the symmetric second-difference stencil
-    (u_{j-1} - 2 u_j + u_{j+1}), both with wraparound.
+    ``alpha`` applies the antisymmetric first difference (u_{j+1} - u_{j-1}),
+    ``beta`` the symmetric second difference (u_{j-1} - 2 u_j + u_{j+1}),
+    both along axis 0 with wraparound. Both are circulant: FFT mode m is an
+    eigenvector, and ``beta`` multiplies it by -``two_y``[m].
     """
 
     n_x: int
     dx: float
-    m_alpha: np.ndarray
-    m_beta: np.ndarray
+
+    def alpha(self, u) -> np.ndarray:
+        p = _wrap_pad(u)
+        return p[2:] - p[:-2]
+
+    def beta(self, u) -> np.ndarray:
+        p = _wrap_pad(u)
+        out = p[2:] + p[:-2]
+        out -= 2.0 * p[1:-1]
+        return out
+
+    @cached_property
+    def two_y(self) -> np.ndarray:
+        """2 Y_m = 2 (1 - cos(2 pi m / n_x)) for each FFT mode m."""
+        return 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(self.n_x) / self.n_x))
+
+    @cached_property
+    def m_alpha(self) -> np.ndarray:
+        """Dense matrix of ``alpha``."""
+        return self.alpha(np.identity(self.n_x))
+
+    @cached_property
+    def m_beta(self) -> np.ndarray:
+        """Dense matrix of ``beta``."""
+        return self.beta(np.identity(self.n_x))
+
+
+def _wrap_pad(u) -> np.ndarray:
+    """u with one periodic ghost row on each end of axis 0.
+
+    Shifted slices of the padded copy apply a stencil at every row at once;
+    at small n_x this beats both np.roll and writing the wraparound rows
+    separately, and at large n_x it matches them.
+    """
+    u = np.asarray(u)
+    return np.concatenate((u[-1:], u, u[:1]))
 
 
 @dataclass(frozen=True)
@@ -180,15 +217,12 @@ def build_modal(
 
 
 def build_xgrid(n_x: int, dx: float) -> XGrid:
-    """Periodic difference matrices on n_x points with spacing dx."""
+    """Periodic grid of n_x points with spacing dx."""
     if n_x < 3:
         raise ValueError("need at least 3 spatial points for periodic stencils")
     if not dx > 0:
         raise ValueError("dx must be positive")
-    eye = np.identity(n_x)
-    up = np.roll(eye, 1, axis=1)    # entry (j, j+1 mod n)
-    down = np.roll(eye, -1, axis=1)  # entry (j, j-1 mod n)
-    return XGrid(n_x=n_x, dx=float(dx), m_alpha=up - down, m_beta=up + down - 2.0 * eye)
+    return XGrid(n_x=n_x, dx=float(dx))
 
 
 def fourier_mode(m: int, n_x: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .linalg import (
     matrix_abs,
     qr_thin,
     qr_thin_counted,
+    require_nonsingular,
     solve_dense,
     sym_eig,
 )
@@ -223,12 +224,12 @@ def init_lowrank(u0, rank: int) -> LowRankState:
 def _flux_hyperbolic(u, vdisc: VDiscretization, grid: XGrid):
     """Upwind semi-discrete right-hand side on a dense slice."""
     c = 1.0 / (2.0 * grid.dx)
-    return c * (grid.m_beta @ u @ vdisc.coeff_abs - grid.m_alpha @ u @ vdisc.coeff)
+    return c * (grid.beta(u) @ vdisc.coeff_abs - grid.alpha(u) @ vdisc.coeff)
 
 
 def _diffusion(u, vdisc: VDiscretization, grid: XGrid):
     """Central second-difference right-hand side on a dense slice."""
-    return (grid.m_beta @ u @ vdisc.coeff) / grid.dx**2
+    return (grid.beta(u) @ vdisc.coeff) / grid.dx**2
 
 
 def _projected_symmetric(v, mat) -> np.ndarray:
@@ -267,27 +268,43 @@ def full_step_parabolic(u, vdisc: VDiscretization, grid: XGrid, dt: float, theta
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     c = dt / grid.dx**2
     rhs = u + (1.0 - theta) * dt * _diffusion(u, vdisc, grid)
-    return _implicit_columns(rhs, grid.m_beta, vdisc.spectrum, c, theta, forward=True)
+    return _implicit_fourier(rhs, grid, vdisc.spectrum, c * theta)
 
 
-def _implicit_columns(rhs, op, dec, c: float, theta: float, forward: bool):
-    """Solve (I -+ c*theta*lam*op) per eigencolumn of the right coefficient.
+def _implicit_fourier(rhs, grid: XGrid, dec, scale: float):
+    """Solve (I - scale*lam_k*beta) u_k = rhs_k per eigencolumn k of the
+    right coefficient, in Fourier space.
 
-    ``dec`` diagonalizes the projected coefficient acting from the right;
-    each eigendirection decouples into a dense solve against ``op``. The
-    backward (core) substep flips the sign, which is where the implicit pole
-    lives.
+    ``dec`` diagonalizes the coefficient acting from the right; on FFT mode
+    m the system of eigencolumn k is the scalar 1 + scale*lam_k*2Y_m. A
+    column whose symbols have a min/max magnitude ratio at or below 1e-13
+    raises SingularMatrixError, as a dense LU would.
     """
-    if theta == 0.0 or c == 0.0:
-        return rhs
-    sign = 1.0 if forward else -1.0
+    if scale == 0.0:
+        return rhs  # the identity; skipping the FFTs keeps it exact
+    symbol = 1.0 + scale * np.outer(grid.two_y, dec.eigenvalues)
+    require_nonsingular("Fourier-space system", symbol)
+    rot = dec.eigenvectors
+    out = np.fft.ifft(np.fft.fft(rhs @ rot, axis=0) / symbol, axis=0)
+    if not np.iscomplexobj(rhs):
+        out = out.real
+    return out @ rot.T
+
+
+def _implicit_columns(rhs, op, dec, scale: float):
+    """Solve (I - scale*lam_k*op) u_k = rhs_k per eigencolumn k of the right
+    coefficient, by a dense LU per column; the steppers pass the r x r
+    projected stencil as ``op``.
+
+    The backward (core) substep passes a negative ``scale``, which is where
+    the implicit pole lives.
+    """
     rot = dec.eigenvectors
     transformed = rhs @ rot
     eye = np.identity(op.shape[0])
     out = np.empty_like(transformed)
     for idx, lam in enumerate(dec.eigenvalues):
-        system = eye - sign * c * theta * lam * op
-        out[:, idx] = solve_dense(system, transformed[:, idx])
+        out[:, idx] = solve_dense(eye - scale * lam * op, transformed[:, idx])
     return out @ rot.T
 
 
@@ -323,7 +340,7 @@ class _VBasis:
 
 
 class _XBasis:
-    """An X factor with X^H m_alpha X and X^H m_beta X, each built at most
+    """An X factor with X^H alpha(X) and X^H beta(X), each built at most
     once."""
 
     def __init__(self, x: np.ndarray, grid: XGrid):
@@ -331,11 +348,11 @@ class _XBasis:
 
     @cached_property
     def calpha(self) -> np.ndarray:
-        return self.x.conj().T @ (self.grid.m_alpha @ self.x)
+        return self.x.conj().T @ self.grid.alpha(self.x)
 
     @cached_property
     def cbeta(self) -> np.ndarray:
-        return self.x.conj().T @ (self.grid.m_beta @ self.x)
+        return self.x.conj().T @ self.grid.beta(self.x)
 
 
 def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
@@ -357,7 +374,7 @@ def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     c = 1.0 / (2.0 * g.dx)
     if factor == "K":
         atil, abs_atil = vb.atil, vb.abs_atil
-        return lambda k: c * (g.m_beta @ k @ abs_atil - g.m_alpha @ k @ atil)
+        return lambda k: c * (g.beta(k) @ abs_atil - g.alpha(k) @ atil)
     calpha = xb.calpha
     if factor == "S":
         atil = vb.atil
@@ -372,30 +389,32 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     if factor == "K":
         if approach == "dtp":
             vh = v.conj().T
-            return lambda k: g.m_beta @ (k @ vh) @ vd.coeff @ v
+            return lambda k: g.beta(k @ vh) @ vd.coeff @ v
         atil = vb.atil
-        return lambda k: g.m_beta @ (k @ atil)
+        return lambda k: g.beta(k @ atil)
     xh = x.conj().T
     if factor == "S":
         if approach == "dtp":
             vh = v.conj().T
-            return lambda s: -(xh @ (g.m_beta @ (x @ s @ vh) @ vd.coeff) @ v)
+            return lambda s: -(xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v)
         cbeta, atil = xb.cbeta, vb.atil
         return lambda s: -(cbeta @ (s @ atil))
     if approach == "dtp":
-        return lambda low: xh @ (g.m_beta @ (x @ low) @ vd.coeff)
+        return lambda low: xh @ (g.beta(x @ low) @ vd.coeff)
     cbeta = xb.cbeta
     return lambda low: cbeta @ (low @ vd.coeff)
 
 
-def _parabolic_implicit(factor: str, xb: _XBasis, vb: _VBasis):
-    """(left operator, right decomposition, forward?) of the implicit part
-    of a diffusion substep; both formulations solve the projected system."""
+def _solve_implicit(factor: str, xb: _XBasis, vb: _VBasis, y, scale: float):
+    """The implicit part of a diffusion substep; both formulations solve the
+    projected system. K solves against the grid stencil in Fourier space,
+    the core and L substeps against the r x r projected stencil; the core
+    substep runs backward in time."""
     if factor == "K":
-        return xb.grid.m_beta, vb.tdec, True
+        return _implicit_fourier(y, xb.grid, vb.tdec, scale)
     if factor == "S":
-        return xb.cbeta, vb.tdec, False
-    return xb.cbeta, vb.vdisc.spectrum, True
+        return _implicit_columns(y, xb.cbeta, vb.tdec, -scale)
+    return _implicit_columns(y, xb.cbeta, vb.vdisc.spectrum, scale)
 
 
 def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: float):
@@ -416,14 +435,14 @@ def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: floa
         y = y + (1.0 - theta) * c * _parabolic_field(spec.approach, factor, xb, vb)(y)
     if theta == 0.0:
         return y
-    op, dec, forward = _parabolic_implicit(factor, xb, vb)
-    return _implicit_columns(y, op, dec, c, theta, forward)
+    return _solve_implicit(factor, xb, vb, y, c * theta)
 
 
 def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> StepReport:
     """One projector-splitting step: the splitting's substep sequence, with a
     QR retraction after every K and L substep."""
-    before = frobenius_norm(reconstruct(state))
+    # Orthonormal frames carry no norm: |X S V^H|_F = |S|_F.
+    before = frobenius_norm(state.S)
     xb, vb, s = _XBasis(state.X, grid), _VBasis(state.V, vdisc), state.S
     events = 0
     for factor, fraction in _SEQUENCES[spec.splitting]:
@@ -439,7 +458,7 @@ def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> 
             vb, s = _VBasis(v, vdisc), rl.conj().T
         events += ev
     new = LowRankState(X=xb.x, S=s, V=vb.v)
-    return StepReport(new, before, frobenius_norm(reconstruct(new)), events)
+    return StepReport(new, before, frobenius_norm(s), events)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +483,8 @@ def step(
         dt = spec.dt
     if dt == 0.0:
         # a zero step is the identity; skipping the retractions keeps it exact
-        if spec.approach == "full_tensor":
-            norm = frobenius_norm(np.asarray(current))
-        else:
-            norm = frobenius_norm(reconstruct(current))
+        full = spec.approach == "full_tensor"
+        norm = frobenius_norm(np.asarray(current) if full else current.S)
         return StepReport(current, norm, norm, 0)
     if spec.approach == "full_tensor":
         u = np.asarray(current)

@@ -25,6 +25,7 @@ __all__ = [
     "qr_thin",
     "qr_thin_counted",
     "require_finite",
+    "require_nonsingular",
     "solve_dense",
     "sym_eig",
 ]
@@ -33,7 +34,7 @@ __all__ = [
 # input count as linearly dependent and are replaced by a canonical direction.
 RANK_TOL = 1e-14
 
-# LU pivot ratio below which a dense system is reported as singular.
+# Pivot ratio below which a system is reported as singular.
 _PIVOT_TOL = 1e-13
 
 
@@ -193,6 +194,23 @@ def matrix_abs(mat) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def require_nonsingular(what: str, pivots) -> None:
+    """Screen the pivots of a factored system, column by column.
+
+    ``pivots`` holds one system's pivots (1-D), or the pivots of several
+    systems side by side (2-D, one system per column): LU diagonals, or the
+    symbols of a system that is diagonal in a known basis. A system whose
+    smallest/largest pivot magnitude is at most 1e-13 raises
+    SingularMatrixError carrying the smallest magnitude.
+    """
+    mags = np.abs(np.asarray(pivots)).reshape(len(pivots), -1)
+    smallest = mags.min(axis=0)
+    singular = smallest <= _PIVOT_TOL * mags.max(axis=0)
+    if singular.any():
+        pivot = float(smallest[np.argmax(singular)])
+        raise SingularMatrixError(f"singular {what} (pivot magnitude {pivot:.3e})", pivot)
+
+
 def solve_dense(mat, rhs) -> np.ndarray:
     """Solve a dense square system by LU with partial pivoting.
 
@@ -211,11 +229,5 @@ def solve_dense(mat, rhs) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a.astype(dtype, copy=True))
-    pivots = np.abs(np.diag(lu))
-    largest = float(pivots.max())
-    smallest = float(pivots.min())
-    if largest == 0.0 or smallest <= _PIVOT_TOL * largest:
-        raise SingularMatrixError(
-            f"singular dense system (pivot magnitude {smallest:.3e})", smallest
-        )
+    require_nonsingular("dense system", np.diag(lu))
     return scipy.linalg.lu_solve((lu, piv), b.astype(dtype, copy=False))

@@ -91,6 +91,29 @@ def test_fourier_modes_are_stencil_eigenvectors(n_x):
         np.testing.assert_allclose(grid.m_beta @ mode, mc.beta * mode, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
+@pytest.mark.parametrize("cols", [1, 16])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_shift_stencils_match_dense_matrices(n_x, cols, kind):
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    rng = np.random.default_rng(100 * n_x + cols)
+    u = rng.standard_normal((n_x, cols))
+    if kind == "complex":
+        u = u + 1j * rng.standard_normal((n_x, cols))
+    np.testing.assert_allclose(grid.alpha(u), grid.m_alpha @ u, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(grid.beta(u), grid.m_beta @ u, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(grid.beta(u[:, 0]), grid.m_beta @ u[:, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
+def test_two_y_is_the_second_difference_symbol(n_x):
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    for m in range(n_x):
+        mode = fourier_mode(m, n_x)
+        assert grid.two_y[m] == pytest.approx(-mode_coords(m, n_x).beta, abs=1e-15)
+        np.testing.assert_allclose(grid.beta(mode), -grid.two_y[m] * mode, atol=1e-12)
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.integers(3, 256).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 255))))
 def test_mode_coordinate_identities(pair):

@@ -8,6 +8,7 @@ import pytest
 from psilab.cli import main as cli_main
 from psilab.harness import (
     BOUNDARY_SUITE,
+    VERIFY_SCHEMES,
     ConfigError,
     ExperimentConfig,
     NumericalError,
@@ -16,6 +17,7 @@ from psilab.harness import (
     derive_dt,
     build_vdisc,
     emit_figure_grids,
+    expected_mode_multiplier,
     initial_state,
     mode_probe_rank,
     parse_config,
@@ -29,7 +31,9 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import contour_grid, h_parabolic_surface
+from psilab.amplification import PoleError, contour_grid, h_parabolic_surface
+from psilab.discretize import build_xgrid
+from psilab.harness import _worst_mode_indices
 
 _MINIMAL = """
 equation = hyperbolic
@@ -228,6 +232,59 @@ def test_worst_mode_below_threshold_is_exactly_flat():
     records = run_simulation(cfg)
     norms = {r.frobenius for r in records}
     assert max(norms) / min(norms) - 1.0 < 1e-12
+
+
+def _worst_mode_by_loop(spec, vdisc, grid, dt):
+    """Reference scan: one scalar multiplier per (m, k), first maximum wins."""
+    best, best_mk = -1.0, (0, 0)
+    for m in range(grid.n_x):
+        for k in range(vdisc.size):
+            try:
+                growth = abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+            except PoleError:
+                growth = np.inf
+            if growth > best:
+                best, best_mk = growth, (m, k)
+    return best_mk
+
+
+def _assert_scan_matches_loop(name, n_x, coefficient, n_v, cfl):
+    spec = parse_scheme_name(name).spec
+    vdisc = build_vdisc(coefficient, "nodal", n_v)
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
+    assert _worst_mode_indices(spec, vdisc, grid, dt) == _worst_mode_by_loop(
+        spec, vdisc, grid, dt
+    )
+
+
+@pytest.mark.parametrize("name", VERIFY_SCHEMES)
+def test_worst_mode_scan_matches_scalar_loop(name):
+    # cfl 0.34 puts the Lie schemes above threshold, where modes m and
+    # N_x - m tie in exact arithmetic; par cfl 0.25 hits the theta = 1 pole.
+    hyper = name.startswith("hyp")
+    for n_x in (16, 64, 256, 1024):
+        _assert_scan_matches_loop(
+            name, n_x, "linear" if hyper else "square", 4, 0.34 if hyper else 0.25
+        )
+
+
+@pytest.mark.parametrize(
+    "name,n_x,coefficient,cfl",
+    [
+        ("hyp-dtp-lie-fe", 64, "linear", 0.3),
+        ("hyp-dtp-lie-fe", 64, "linear", 0.34),
+        ("hyp-ptd-strang-rk2", 64, "linear", 1.9),
+        ("hyp-dtp-lie-fe", 1024, "linear", 0.3),
+        ("hyp-ptd-lie-fe", 1024, "linear", 0.3),
+        ("hyp-dtp-lie-fe", 1024, "linear", 0.34),
+        ("par-dtp-lie-theta1", 256, "square", 0.2),
+        ("par-strang-cn", 256, "square", 5.0),
+        ("par-full-theta0.5", 256, "square", 0.2),
+    ],
+)
+def test_worst_mode_scan_matches_scalar_loop_on_march_configs(name, n_x, coefficient, cfl):
+    _assert_scan_matches_loop(name, n_x, coefficient, 16, cfl)
 
 
 def test_derive_dt_formulas():

@@ -19,12 +19,14 @@ from psilab.harness import (
 from psilab.integrators import (
     LowRankState,
     SchemeSpec,
+    _implicit_columns,
+    _implicit_fourier,
     init_lowrank,
     orthonormality_residual,
     reconstruct,
     step,
 )
-from psilab.linalg import frobenius_norm
+from psilab.linalg import SingularMatrixError, frobenius_norm, qr_thin, sym_eig
 
 _NX, _NV = 16, 4
 _GRID = build_xgrid(_NX, 2.0 * np.pi / _NX)
@@ -244,3 +246,41 @@ def test_state_rejects_non_finite_factors(factor):
     factors[factor][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match=f"factor {factor}"):
         LowRankState(**factors)
+
+
+def _coefficient_with_spectrum(lams, seed):
+    """A symmetric matrix with the given eigenvalues and random eigenvectors."""
+    q, _ = qr_thin(np.random.default_rng(seed).standard_normal((len(lams), len(lams))))
+    return sym_eig((q * np.asarray(lams)) @ q.T)
+
+
+@pytest.mark.parametrize("n_x", [3, 8, 64, 256])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
+    """The Fourier-space solve of (I - scale*lam_k*beta) agrees with a dense
+    LU of the n_x x n_x system per eigencolumn, for either sign of scale and
+    eigenvalues of both signs (every symbol stays at or above 0.2)."""
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    scale = sign * 0.35
+    dec = _coefficient_with_spectrum(sign * np.array([2.0, 0.7, 0.1, -0.3, -0.55]), n_x)
+    rng = np.random.default_rng(n_x)
+    rhs = rng.standard_normal((n_x, 5))
+    if kind == "complex":
+        rhs = rhs + 1j * rng.standard_normal((n_x, 5))
+    fourier = _implicit_fourier(rhs, grid, dec, scale)
+    dense = _implicit_columns(rhs, grid.m_beta, dec, scale)
+    assert np.iscomplexobj(fourier) == (kind == "complex")
+    rot = dec.eigenvectors
+    for got, want in zip((fourier @ rot).T, (dense @ rot).T):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fourier_implicit_solve_reports_a_zero_symbol():
+    # scale * lam * 2Y_2 = 1 * (-0.5) * 2 on N_x = 8: mode 2's symbol vanishes
+    grid = build_xgrid(8, 2.0 * np.pi / 8)
+    dec = sym_eig(np.diag([1.0, -0.5]))
+    rhs = np.ones((8, 2))
+    with pytest.raises(SingularMatrixError) as err:
+        _implicit_fourier(rhs, grid, dec, 1.0)
+    assert np.isfinite(err.value.pivot) and err.value.pivot <= 1e-13
