@@ -1,11 +1,13 @@
 """Dense linear-algebra kernels for the low-rank integrator lab.
 
-Plain numpy arrays (float64 or complex128) are the only data format. The thin
-QR factorization is written out explicitly because the integrators rely on two
-properties that library QR does not guarantee: a deterministic gauge
-(nonnegative diagonal of the triangular factor) and a well-defined orthonormal
-frame whenever a factor momentarily loses rank. Symmetric eigendecomposition
-and dense solves wrap LAPACK with the conventions the steppers need.
+Plain numpy arrays (float64 or complex128) are the only data format. Every
+kernel wraps LAPACK with the conventions the steppers need. The thin QR
+(``geqrf`` with ``orgqr``/``ungqr``) adds two properties a bare
+factorization lacks: a deterministic gauge (real nonnegative diagonal of the
+triangular factor), and a well-defined orthonormal frame whenever a factor
+momentarily loses rank, completed by refactoring with a canonical direction
+in place of each dependent column. Symmetric eigendecomposition comes sorted
+and sign-oriented; dense solves screen their pivots.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ RANK_TOL = 1e-14
 
 # Pivot ratio below which a system is reported as singular.
 _PIVOT_TOL = 1e-13
+
+# LAPACK Householder QR (factor, then form the thin Q) for each input dtype.
+_QR_ROUTINES = {
+    np.dtype(np.float64): scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64),
+    np.dtype(np.complex128): scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), dtype=np.complex128),
+}
 
 
 class SingularMatrixError(ValueError):
@@ -82,30 +90,30 @@ def _as_matrix(mat, name: str) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _completion_direction(col: int, reflectors, n: int, dtype) -> np.ndarray:
-    """Best canonical basis vector, orthogonalized against prior columns.
-
-    Applies the accumulated reflectors to the identity and picks the canonical
-    vector with the largest remaining component outside the span of the first
-    ``col`` columns (ties resolve to the lowest index, keeping the choice
-    deterministic). The trailing part seeds the replacement Householder column.
-    """
-    basis = np.identity(n, dtype=dtype)
-    for off, v, tau in reflectors:
-        basis[off:, :] -= tau * np.outer(v, v.conj() @ basis[off:, :])
-    scores = np.linalg.norm(basis[col:, :], axis=0)
-    return basis[col:, int(np.argmax(scores))].copy()
+def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK Householder QR: the thin Q, and R with reflector data below
+    its diagonal."""
+    geqrf, orgqr = _QR_ROUTINES[a.dtype]
+    packed, tau, _, _ = geqrf(a)
+    q, _, _ = orgqr(packed, tau)
+    return q, packed[: a.shape[1]]
 
 
 def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     """Thin QR factorization plus the number of rank-completion events.
 
-    Householder reflections, one per column. A column whose residual falls
-    below ``RANK_TOL`` times the Frobenius norm of the input is replaced by a
-    canonical completion direction; its diagonal entry in the triangular
-    factor is set to zero. A final diagonal phase rotation makes diag(R) real
-    and nonnegative, which fixes the gauge of Q deterministically (for real
-    input this reduces to sign flips).
+    LAPACK Householder QR (``geqrf``, then ``orgqr`` or ``ungqr``). Column j
+    counts as dependent when |R_jj| is at most ``RANK_TOL`` times the
+    Frobenius norm |A| of the input. The first dependent column is replaced
+    by P a_j + w (I - P) e_i and the matrix is factored again. Here P
+    projects onto the span of Q[:, :j], e_i is the canonical vector with the
+    largest residual outside that span (from the row leverage; ties resolve
+    to the lowest index), and w = |A| (1 for a zero input), so that Q[:, j]
+    becomes the normalized completion direction. This repeats until no later
+    column is dependent. Replaced columns get R_jj = 0, so Q @ R reproduces
+    the input up to their dropped sub-tolerance residuals. A diagonal phase
+    rotation makes diag(R) real and nonnegative, which fixes the gauge of Q
+    deterministically (for real input, sign flips).
     """
     a = _as_matrix(mat, "qr_thin input")
     n, r = a.shape
@@ -113,45 +121,42 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {n}x{r}")
     scale = np.linalg.norm(a)
     if not 1e-100 <= scale <= 1e100:
-        # The reflector norms square the entries; rescale so they stay in range.
+        # LAPACK scales its reflectors safely, but the Frobenius norm in the
+        # rank tolerance squares the entries; rescale so it stays in range.
         peak = float(np.abs(a).max(initial=0.0))
         if 0.0 < peak < np.inf:
             q, rfac, events = qr_thin_counted(a / peak)
             return q, rfac * peak, events
-    work = a.copy()
-    reflectors: list[tuple[int, np.ndarray, float]] = []
+    q, rfac = _lapack_qr(a)
     completed: list[int] = []
-    for j in range(r):
-        x = work[j:, j]
-        if np.linalg.norm(x) <= RANK_TOL * scale:
-            work[j:, j] = _completion_direction(j, reflectors, n, work.dtype)
-            completed.append(j)
-            x = work[j:, j]
-        norm_x = np.linalg.norm(x)
-        lead = x[0]
-        phase = lead / abs(lead) if abs(lead) > 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm_x
-        tau = 2.0 / np.real(np.vdot(v, v))
-        work[j:, j:] -= tau * np.outer(v, v.conj() @ work[j:, j:])
-        reflectors.append((j, v, tau))
+    while True:
+        start = completed[-1] + 1 if completed else 0
+        dependent = np.abs(rfac.diagonal()[start:]) <= RANK_TOL * scale
+        if not dependent.any():
+            break
+        j = start + int(dependent.argmax())
+        # 1 - |Q[i, :j]|^2 is the squared residual of e_i outside the span;
+        # weighting it by |A| keeps roundoff in P a_j from swamping it.
+        span = q[:, :j]
+        i = int(np.argmax(1.0 - np.sum(np.abs(span) ** 2, axis=1)))
+        weight = scale if scale > 0 else 1.0
+        col = span @ (rfac[:j, j] - weight * span[i].conj())
+        col[i] += weight
+        a = a.copy()
+        a[:, j] = col
+        completed.append(j)
+        q, rfac = _lapack_qr(a)
 
-    rfac = np.triu(work[:r, :]).copy()
-    for j in completed:
-        # The replaced column contributed only its sub-RANK_TOL residual here.
-        rfac[j, j] = 0.0
-
-    q = np.zeros((n, r), dtype=work.dtype)
-    q[:r, :r] = np.identity(r)
-    for off, v, tau in reversed(reflectors):
-        q[off:, :] -= tau * np.outer(v, v.conj() @ q[off:, :])
-
-    for j in range(r):
-        d = rfac[j, j]
-        if abs(d) > 0:
-            ph = d / abs(d)
-            rfac[j, :] *= np.conj(ph)
-            q[:, j] *= ph
+    diag = rfac.diagonal()
+    mag = np.abs(diag)
+    phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
+    q *= phase
+    rfac = phase.conj()[:, None] * rfac
+    for k in range(1, r):
+        rfac[k, :k] = 0.0  # reflector data
+    # A replaced column contributes only its sub-RANK_TOL residual here.
+    mag[completed] = 0.0
+    np.fill_diagonal(rfac, mag)
     return q, rfac, len(completed)
 
 
@@ -179,11 +184,10 @@ def sym_eig(mat) -> SpectralDecomposition:
     sym = 0.5 * (a + a.T)
     vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    vecs = vecs[:, ::-1]
+    lead = np.abs(vecs).argmax(axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    vecs = np.where(flip, -vecs, vecs)
     return SpectralDecomposition(eigenvectors=vecs, eigenvalues=vals)
 
 

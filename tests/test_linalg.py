@@ -18,6 +18,7 @@ from psilab.linalg import (
 )
 
 _finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
 def _mat(rows, cols):
@@ -154,3 +155,127 @@ def test_require_finite_flags_nan_and_inf():
         require_finite("bad", np.array([1.0, np.nan]))
     with pytest.raises(Exception, match="bad"):
         require_finite("bad", np.array([np.inf]))
+
+
+def _householder_reference(mat):
+    """Column-by-column Householder QR with diag(R) made real and positive
+    (full-rank input only)."""
+    work = np.array(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
+    n, r = work.shape
+    reflectors = []
+    for j in range(r):
+        x = work[j:, j]
+        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
+        v = x.copy()
+        v[0] += phase * np.linalg.norm(x)
+        tau = 2.0 / np.real(np.vdot(v, v))
+        work[j:, j:] -= tau * np.outer(v, v.conj() @ work[j:, j:])
+        reflectors.append((j, v, tau))
+    q = np.eye(n, r, dtype=work.dtype)
+    for j, v, tau in reversed(reflectors):
+        q[j:, :] -= tau * np.outer(v, v.conj() @ q[j:, :])
+    rfac = np.triu(work[:r])
+    phase = np.diag(rfac) / np.abs(np.diag(rfac))
+    return q * phase, rfac * phase.conj()[:, None]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.integers(1, n).flatmap(
+            lambda r: arrays(np.complex128, (n, r), elements=_complex)
+        )
+    )
+)
+def test_qr_complex_reconstructs_with_unitary_factor(mat):
+    q, r = qr_thin(mat)
+    scale = max(1.0, float(np.abs(mat).max()))
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(mat.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(q @ r, mat, atol=1e-12 * scale)
+    assert np.allclose(r, np.triu(r))
+    assert (np.diag(r).imag == 0).all()
+    assert (np.diag(r).real >= 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_qr_completion_pinned_on_repeated_unit_vector(dtype):
+    e0 = np.eye(5, dtype=dtype)[:, 0]
+    q, r, events = qr_thin_counted(np.column_stack([e0, e0]))
+    assert events == 1
+    assert r[1, 1] == 0
+    np.testing.assert_allclose(np.abs(q[:, 1]), np.eye(5)[:, 1], atol=1e-15)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-15)
+
+
+def test_qr_completion_counts_every_dependent_column():
+    col = np.arange(1.0, 7.0)
+    q, r, events = qr_thin_counted(np.column_stack([col, col, 2 * col]))
+    assert events == 2
+    assert r[1, 1] == 0 and r[2, 2] == 0
+    np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
+
+
+def test_qr_completion_direction_ignores_input_scale():
+    # the canonical direction must not drown in roundoff of a large P a_j
+    col = np.arange(1.0, 7.0)
+    mat = np.column_stack([col, col, np.ones(6)])
+    q_unit, _, events = qr_thin_counted(mat)
+    assert events == 1
+    q_big, r_big, _ = qr_thin_counted(1e20 * mat)
+    np.testing.assert_allclose(q_big, q_unit, atol=1e-12)
+    np.testing.assert_allclose(q_big @ r_big, 1e20 * mat, atol=1e-12 * 1e20)
+
+
+def test_qr_tall_rank_deficient_padding():
+    # init_lowrank pads a short frame with zero columns to the rank
+    n = 1024
+    x = 2 * np.pi * np.arange(n) / n
+    basis = np.column_stack([np.cos(3 * x), np.sin(3 * x)]) / np.sqrt(n / 2)
+    padded = np.zeros((n, 4))
+    padded[:, :2] = basis
+    q, r, events = qr_thin_counted(padded)
+    assert events == 2
+    np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-13)
+    np.testing.assert_allclose(q[:, :2], basis, atol=1e-13)
+    np.testing.assert_allclose(r, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-13)
+    np.testing.assert_allclose(q @ r, padded, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (6, 3), (64, 4), (1024, 4)])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_qr_matches_householder_reference(shape, complex_input):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    mat = rng.standard_normal(shape)
+    if complex_input:
+        mat = mat + 1j * rng.standard_normal(shape)
+    q, r, events = qr_thin_counted(mat)
+    q_ref, r_ref = _householder_reference(mat)
+    assert events == 0
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12 * np.linalg.norm(mat))
+
+
+def _sym_eig_loop_reference(mat):
+    """Eigendecomposition oriented one column at a time."""
+    a = np.asarray(mat, dtype=np.float64)
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        lead = int(np.argmax(np.abs(vecs[:, j])))
+        if vecs[lead, j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return vals, vecs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sym_eig_orientation_bitwise_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + 3 * seed
+    raw = rng.standard_normal((n, n))
+    cases = [raw + raw.T, np.eye(n), np.diag(np.arange(n, 0, -1.0)) - np.eye(n, k=1) - np.eye(n, k=-1)]
+    for mat in cases + [np.array([[0.0, 1.0], [1.0, 0.0]])]:
+        dec = sym_eig(mat)
+        vals, vecs = _sym_eig_loop_reference(mat)
+        assert dec.eigenvalues.tobytes() == vals.tobytes()
+        assert dec.eigenvectors.tobytes() == vecs.tobytes()
