@@ -11,12 +11,12 @@ analysis runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, matrix_abs, require_finite, sym_eig
+from .linalg import Diagonalization, SpectralDecomposition, matrix_abs, require_finite, sym_eig
 
 __all__ = [
     "ModeCoordinates",
@@ -102,6 +102,12 @@ class XGrid:
     def two_y(self) -> np.ndarray:
         """2 Y_m = 2 (1 - cos(2 pi m / n_x)) for each FFT mode m."""
         return 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(self.n_x) / self.n_x))
+
+    @cached_property
+    def beta_eig(self) -> Diagonalization:
+        """``beta`` diagonalized by the FFT along axis 0 (eigenvalues -2 Y_m)."""
+        fft, ifft = partial(np.fft.fft, axis=0), partial(np.fft.ifft, axis=0)
+        return Diagonalization(-self.two_y, fft, ifft, real=True)
 
     @cached_property
     def m_alpha(self) -> np.ndarray:

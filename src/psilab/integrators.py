@@ -15,17 +15,21 @@ in where the discretization happens:
 Both are exact on rank-1 Fourier modes, which is what the amplification
 module's closed forms describe; steppers accept complex states so those
 mode probes can run through the production code path.
+
+Every implicit system, K, S, L or full-tensor, is solved in the eigenbases of
+both of its operators (``_implicit_solve``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .discretize import VDiscretization, XGrid
 from .linalg import (
+    Diagonalization,
     frobenius_norm,
     matrix_abs,
     qr_thin,
@@ -71,7 +75,6 @@ class SchemeSpec:
     splitting: str = "lie"
     substep: str = "forward_euler"
     theta: float | None = None
-    dt: float | None = None
 
     def __post_init__(self):
         if self.equation not in _EQUATIONS:
@@ -108,8 +111,6 @@ class SchemeSpec:
                 raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         elif self.theta is not None:
             raise ValueError("theta is only accepted with substep 'theta'")
-        if self.dt is not None and not self.dt >= 0.0:
-            raise ValueError("dt must be nonnegative")
 
     @property
     def theta_value(self) -> float:
@@ -129,6 +130,7 @@ class LowRankState:
     X: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    ortho_residual: float = field(init=False, repr=False)  # set by the check below
 
     def __post_init__(self):
         x, s, v = np.asarray(self.X), np.asarray(self.S), np.asarray(self.V)
@@ -144,10 +146,11 @@ class LowRankState:
         for name, f in (("X", x), ("S", s), ("V", v)):
             if not np.isfinite(f).all():
                 raise FloatingPointError(f"factor {name} has non-finite entries")
-        for name, f in (("X", x), ("V", v)):
-            gram = f.conj().T @ f
-            if frobenius_norm(gram - np.identity(r)) > _ORTHO_TOL:
+        devs = [frobenius_norm(f.conj().T @ f - np.identity(r)) for f in (x, v)]
+        for name, dev in zip("XV", devs):
+            if dev > _ORTHO_TOL:
                 raise ValueError(f"factor {name} is not orthonormal")
+        object.__setattr__(self, "ortho_residual", max(devs))
 
     @property
     def rank(self) -> int:
@@ -170,11 +173,7 @@ def reconstruct(state: LowRankState) -> np.ndarray:
 
 def orthonormality_residual(state: LowRankState) -> float:
     """Largest Frobenius deviation of X^H X and V^H V from the identity."""
-    r = state.rank
-    eye = np.identity(r)
-    rx = frobenius_norm(state.X.conj().T @ state.X - eye)
-    rv = frobenius_norm(state.V.conj().T @ state.V - eye)
-    return max(rx, rv)
+    return state.ortho_residual
 
 
 def init_lowrank(u0, rank: int) -> LowRankState:
@@ -268,44 +267,35 @@ def full_step_parabolic(u, vdisc: VDiscretization, grid: XGrid, dt: float, theta
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     c = dt / grid.dx**2
     rhs = u + (1.0 - theta) * dt * _diffusion(u, vdisc, grid)
-    return _implicit_fourier(rhs, grid, vdisc.spectrum, c * theta)
+    return _implicit_solve(rhs, grid.beta_eig, vdisc.spectrum, c * theta)
 
 
-def _implicit_fourier(rhs, grid: XGrid, dec, scale: float):
-    """Solve (I - scale*lam_k*beta) u_k = rhs_k per eigencolumn k of the
-    right coefficient, in Fourier space.
-
-    ``dec`` diagonalizes the coefficient acting from the right; on FFT mode
-    m the system of eigencolumn k is the scalar 1 + scale*lam_k*2Y_m. A
-    column whose symbols have a min/max magnitude ratio at or below 1e-13
-    raises SingularMatrixError, as a dense LU would.
+def _implicit_solve(rhs, left: Diagonalization, right, scale: float):
+    """Solve (I - scale*lam_k*B) u_k = rhs_k per eigencolumn k of the right
+    coefficient, with B diagonalized by ``left``: in both eigenbases each
+    system is the scalar 1 - x, x = scale*mu_j*lam_k, and a symbol with
+    |1 - x| <= 1e-13 (1 + |x|) raises SingularMatrixError. A negative
+    ``scale`` (the backward core substep) is where the implicit pole lives.
     """
     if scale == 0.0:
-        return rhs  # the identity; skipping the FFTs keeps it exact
-    symbol = 1.0 + scale * np.outer(grid.two_y, dec.eigenvalues)
-    require_nonsingular("Fourier-space system", symbol)
-    rot = dec.eigenvectors
-    out = np.fft.ifft(np.fft.fft(rhs @ rot, axis=0) / symbol, axis=0)
-    if not np.iscomplexobj(rhs):
+        return rhs  # the identity; skipping the transforms keeps it exact
+    x = scale * np.outer(left.eigenvalues, right.eigenvalues)
+    symbol = 1.0 - x
+    require_nonsingular("implicit system", symbol, 1.0 + np.abs(x))
+    rot = right.eigenvectors
+    out = left.inverse(left.forward(rhs @ rot) / symbol)
+    if left.real and not np.iscomplexobj(rhs):
         out = out.real
     return out @ rot.T
 
 
 def _implicit_columns(rhs, op, dec, scale: float):
-    """Solve (I - scale*lam_k*op) u_k = rhs_k per eigencolumn k of the right
-    coefficient, by a dense LU per column; the steppers pass the r x r
-    projected stencil as ``op``.
-
-    The backward (core) substep passes a negative ``scale``, which is where
-    the implicit pole lives.
-    """
-    rot = dec.eigenvectors
-    transformed = rhs @ rot
-    eye = np.identity(op.shape[0])
-    out = np.empty_like(transformed)
-    for idx, lam in enumerate(dec.eigenvalues):
-        out[:, idx] = solve_dense(eye - scale * lam * op, transformed[:, idx])
-    return out @ rot.T
+    """Dense-LU reference for ``_implicit_solve``: solve
+    (I - scale*lam_k*op) u_k = rhs_k per eigencolumn k of the right
+    coefficient, by one LU per column."""
+    rot, eye = dec.eigenvectors, np.identity(op.shape[0])
+    cols = zip(dec.eigenvalues, (rhs @ rot).T)
+    return np.stack([solve_dense(eye - scale * lam * op, b) for lam, b in cols], axis=1) @ rot.T
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,8 @@ class _VBasis:
 
 
 class _XBasis:
-    """An X factor with X^H alpha(X) and X^H beta(X), each built at most
-    once."""
+    """An X factor with X^H alpha(X), X^H beta(X) and the latter's
+    diagonalization, each built at most once."""
 
     def __init__(self, x: np.ndarray, grid: XGrid):
         self.x, self.grid = x, grid
@@ -353,6 +343,13 @@ class _XBasis:
     @cached_property
     def cbeta(self) -> np.ndarray:
         return self.x.conj().T @ self.grid.beta(self.x)
+
+    @cached_property
+    def cbeta_eig(self) -> Diagonalization:
+        # eigh, not sym_eig: mode probes make X^H beta X complex Hermitian.
+        vals, vecs = np.linalg.eigh(self.cbeta)
+        forward, inverse = (lambda u: vecs.conj().T @ u), (lambda z: vecs @ z)
+        return Diagonalization(vals, forward, inverse, real=np.isrealobj(vecs))
 
 
 def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
@@ -405,18 +402,6 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     return lambda low: cbeta @ (low @ vd.coeff)
 
 
-def _solve_implicit(factor: str, xb: _XBasis, vb: _VBasis, y, scale: float):
-    """The implicit part of a diffusion substep; both formulations solve the
-    projected system. K solves against the grid stencil in Fourier space,
-    the core and L substeps against the r x r projected stencil; the core
-    substep runs backward in time."""
-    if factor == "K":
-        return _implicit_fourier(y, xb.grid, vb.tdec, scale)
-    if factor == "S":
-        return _implicit_columns(y, xb.cbeta, vb.tdec, -scale)
-    return _implicit_columns(y, xb.cbeta, vb.vdisc.spectrum, scale)
-
-
 def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: float):
     """One substep of length h with the scheme's substep integrator:
     forward Euler or SSP-RK2 (hyperbolic), theta or the hybrid's
@@ -435,7 +420,12 @@ def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: floa
         y = y + (1.0 - theta) * c * _parabolic_field(spec.approach, factor, xb, vb)(y)
     if theta == 0.0:
         return y
-    return _solve_implicit(factor, xb, vb, y, c * theta)
+    # Both formulations solve the projected system: K against the grid
+    # stencil, S and L against X^H beta X; the core substep runs backward.
+    left = xb.grid.beta_eig if factor == "K" else xb.cbeta_eig
+    right = vb.vdisc.spectrum if factor == "L" else vb.tdec
+    scale = c * theta
+    return _implicit_solve(y, left, right, -scale if factor == "S" else scale)
 
 
 def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> StepReport:
@@ -470,17 +460,13 @@ def step(
     current,
     vdisc: VDiscretization,
     grid: XGrid,
-    dt: float | None = None,
+    dt: float,
 ) -> StepReport:
     """Advance one step of the scheme described by ``spec``.
 
     ``current`` is a dense matrix for the full-tensor approach and a
     LowRankState otherwise; the report mirrors that type.
     """
-    if dt is None:
-        if spec.dt is None:
-            raise ValueError("no dt given (neither argument nor SchemeSpec.dt)")
-        dt = spec.dt
     if dt == 0.0:
         # a zero step is the identity; skipping the retractions keeps it exact
         full = spec.approach == "full_tensor"

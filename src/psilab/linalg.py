@@ -7,18 +7,21 @@ factorization lacks: a deterministic gauge (real nonnegative diagonal of the
 triangular factor), and a well-defined orthonormal frame whenever a factor
 momentarily loses rank, completed by refactoring with a canonical direction
 in place of each dependent column. Symmetric eigendecomposition comes sorted
-and sign-oriented; dense solves screen their pivots.
+and sign-oriented; a ``Diagonalization`` carries an operator's eigenbasis as
+a matrix or a fast transform; each pivot or symbol is screened on its scale.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "Diagonalization",
     "RANK_TOL",
     "SingularMatrixError",
     "SpectralDecomposition",
@@ -36,7 +39,7 @@ __all__ = [
 # input count as linearly dependent and are replaced by a canonical direction.
 RANK_TOL = 1e-14
 
-# Pivot ratio below which a system is reported as singular.
+# Pivot magnitude, relative to its own reference, that counts as singular.
 _PIVOT_TOL = 1e-13
 
 # LAPACK Householder QR (factor, then form the thin Q) for each input dtype.
@@ -47,12 +50,8 @@ _QR_ROUTINES = {
 
 
 class SingularMatrixError(ValueError):
-    """A dense solve met a singular or near-singular matrix.
-
-    Carries the offending pivot magnitude so callers (for example the
-    backward-in-time core substep near its pole) can report how degenerate
-    the system was.
-    """
+    """A solve met a singular or near-singular system; ``pivot`` carries the
+    offending pivot or symbol magnitude, for example at an implicit pole."""
 
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
@@ -70,6 +69,18 @@ class SpectralDecomposition:
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
+
+
+@dataclass(frozen=True)
+class Diagonalization:
+    """Hermitian B = W diag(eigenvalues) W^H: ``forward`` maps u to W^H u and
+    ``inverse`` z to W z along axis 0, so a fast transform can stand in for
+    W. ``real`` marks a real B, whose real functions keep real data real."""
+
+    eigenvalues: np.ndarray
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+    real: bool
 
 
 def require_finite(name: str, arr: np.ndarray) -> None:
@@ -198,20 +209,14 @@ def matrix_abs(mat) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def require_nonsingular(what: str, pivots) -> None:
-    """Screen the pivots of a factored system, column by column.
-
-    ``pivots`` holds one system's pivots (1-D), or the pivots of several
-    systems side by side (2-D, one system per column): LU diagonals, or the
-    symbols of a system that is diagonal in a known basis. A system whose
-    smallest/largest pivot magnitude is at most 1e-13 raises
-    SingularMatrixError carrying the smallest magnitude.
-    """
-    mags = np.abs(np.asarray(pivots)).reshape(len(pivots), -1)
-    smallest = mags.min(axis=0)
-    singular = smallest <= _PIVOT_TOL * mags.max(axis=0)
+def require_nonsingular(what: str, pivots, reference) -> None:
+    """Raise SingularMatrixError, carrying the smallest offending magnitude,
+    if some pivot is at most 1e-13 times its reference: the largest pivot
+    for LU diagonals, 1 + |x| for a symbol 1 - x of a diagonalized system."""
+    mags = np.abs(pivots)
+    singular = mags <= _PIVOT_TOL * reference
     if singular.any():
-        pivot = float(smallest[np.argmax(singular)])
+        pivot = float(mags[singular].min())
         raise SingularMatrixError(f"singular {what} (pivot magnitude {pivot:.3e})", pivot)
 
 
@@ -219,9 +224,9 @@ def solve_dense(mat, rhs) -> np.ndarray:
     """Solve a dense square system by LU with partial pivoting.
 
     Accepts one right-hand side (1-D) or several (2-D columns). A singular or
-    near-singular matrix (smallest/largest pivot ratio below 1e-13) raises
-    SingularMatrixError carrying the pivot magnitude; this is the cheap
-    condition screen the implicit substeps rely on near their poles.
+    near-singular matrix (smallest/largest pivot ratio at most 1e-13) raises
+    SingularMatrixError carrying the pivot magnitude. Tests use it as the
+    reference for the steppers' diagonalized solves.
     """
     a = np.asarray(mat)
     b = np.asarray(rhs)
@@ -233,5 +238,6 @@ def solve_dense(mat, rhs) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a.astype(dtype, copy=True))
-    require_nonsingular("dense system", np.diag(lu))
+    pivots = np.diag(lu)
+    require_nonsingular("dense system", pivots, np.abs(pivots).max())
     return scipy.linalg.lu_solve((lu, piv), b.astype(dtype, copy=False))

@@ -453,16 +453,23 @@ _ON_POLE = (
     .replace("cfl = 0.6", "cfl = 0.25")
     .replace("random_rank_r", "worst_mode")
 )
+# At rank 1 the core system is a scalar, so its pole has no other pivot to
+# be small against.
+_ON_POLE_RANK_1 = _ON_POLE.replace("rank = 4", "rank = 1")
 
 
-@pytest.mark.parametrize("doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1)])
+@pytest.mark.parametrize(
+    "doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1), (_ON_POLE_RANK_1, 1)]
+)
 def test_numerical_failure_carries_step(doc, failed_step):
     with pytest.raises(NumericalError, match=f"step {failed_step} failed") as info:
         run_simulation(parse_config(doc))
     assert info.value.step == failed_step
 
 
-@pytest.mark.parametrize("doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1)])
+@pytest.mark.parametrize(
+    "doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1), (_ON_POLE_RANK_1, 1)]
+)
 def test_cli_simulate_numerical_failure_exits_3(tmp_path, capsys, doc, failed_step):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(doc, encoding="utf-8")

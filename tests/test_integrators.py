@@ -20,7 +20,8 @@ from psilab.integrators import (
     LowRankState,
     SchemeSpec,
     _implicit_columns,
-    _implicit_fourier,
+    _implicit_solve,
+    _XBasis,
     init_lowrank,
     orthonormality_residual,
     reconstruct,
@@ -260,7 +261,10 @@ def _coefficient_with_spectrum(lams, seed):
 def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
     """The Fourier-space solve of (I - scale*lam_k*beta) agrees with a dense
     LU of the n_x x n_x system per eigencolumn, for either sign of scale and
-    eigenvalues of both signs (every symbol stays at or above 0.2)."""
+    eigenvalues of both signs (every symbol stays at or above 0.2). So does
+    the solve against the projected stencil X^H beta X, diagonalized by
+    eigh, for a random orthonormal X (complex X makes it complex Hermitian);
+    its eigenvalues lie in beta's range [-4, 0], so the same bound holds."""
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     scale = sign * 0.35
     dec = _coefficient_with_spectrum(sign * np.array([2.0, 0.7, 0.1, -0.3, -0.55]), n_x)
@@ -268,11 +272,23 @@ def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
     rhs = rng.standard_normal((n_x, 5))
     if kind == "complex":
         rhs = rhs + 1j * rng.standard_normal((n_x, 5))
-    fourier = _implicit_fourier(rhs, grid, dec, scale)
+    fourier = _implicit_solve(rhs, grid.beta_eig, dec, scale)
     dense = _implicit_columns(rhs, grid.m_beta, dec, scale)
     assert np.iscomplexobj(fourier) == (kind == "complex")
     rot = dec.eigenvectors
     for got, want in zip((fourier @ rot).T, (dense @ rot).T):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    r = min(n_x, 4)
+    x = rng.standard_normal((n_x, r))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal((n_x, r))
+    xb = _XBasis(qr_thin(x)[0], grid)
+    small = rhs[:r]
+    projected = _implicit_solve(small, xb.cbeta_eig, dec, scale)
+    dense = _implicit_columns(small, xb.cbeta, dec, scale)
+    assert np.iscomplexobj(projected) == (kind == "complex")
+    for got, want in zip((projected @ rot).T, (dense @ rot).T):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -282,5 +298,5 @@ def test_fourier_implicit_solve_reports_a_zero_symbol():
     dec = sym_eig(np.diag([1.0, -0.5]))
     rhs = np.ones((8, 2))
     with pytest.raises(SingularMatrixError) as err:
-        _implicit_fourier(rhs, grid, dec, 1.0)
+        _implicit_solve(rhs, grid.beta_eig, dec, 1.0)
     assert np.isfinite(err.value.pivot) and err.value.pivot <= 1e-13
