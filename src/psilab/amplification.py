@@ -325,6 +325,8 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.nd
     """
     if y_points < 2 or mu_points < 2:
         raise ValueError("need at least two points per axis")
+    if not 0.0 < mu_max < math.inf:
+        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     ys = np.linspace(0.0, 2.0, y_points)
     mus = np.linspace(0.0, mu_max, mu_points)
     h = np.empty((y_points, mu_points))

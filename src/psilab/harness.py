@@ -163,8 +163,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"rank must lie in [1, min(N_x, N_v)] = [1, {cap}], got {self.rank}"
             )
-        if not self.cfl >= 0.0:
-            raise ConfigError(f"cfl must be nonnegative, got {self.cfl}")
+        if not 0.0 <= self.cfl < np.inf:
+            raise ConfigError(f"cfl must be finite and nonnegative, got {self.cfl}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
         if not 0 <= self.seed < 2**64:
@@ -862,10 +862,27 @@ def _fmt(value: float) -> str:
 
 
 def write_contour_csv(path: str, table: np.ndarray) -> None:
+    """Write (Y, mu, h) rows, one string per run of consecutive rows sharing Y.
+
+    A run's Y is formatted once, and its mu column once for as long as the
+    next runs repeat it; one ``%`` over a ``%.17g`` template then fills in
+    the run's h values. Y and mu are compared bit for bit, so 0.0 and -0.0
+    stay apart, and the bytes equal those of per-value ``.17g`` formatting.
+    """
+    table = np.asarray(table, dtype=float)
+    y_bits = table[:, 0].view(np.int64)
+    cuts = np.flatnonzero(y_bits[1:] != y_bits[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(table)] if len(table) else [0]
+    mu_bytes = None
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("Y,mu,h\n")
-        for row in table:
-            handle.write(f"{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}\n")
+        for lo, hi in zip(bounds, bounds[1:]):
+            run_bytes = table[lo:hi, 1].tobytes()
+            if run_bytes != mu_bytes:
+                mu_bytes = run_bytes
+                mu_lines = [f",{mu:.17g},%.17g\n" for mu in table[lo:hi, 1].tolist()]
+            y = _fmt(table[lo, 0])
+            handle.write((y + y.join(mu_lines)) % tuple(table[lo:hi, 2].tolist()))
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

@@ -1,13 +1,18 @@
 """Experiment harness: config grammar, runs, suites, CSV and CLI contracts."""
 
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from psilab.cli import main as cli_main
 from psilab.harness import (
     BOUNDARY_SUITE,
+    FIGURE_GRIDS,
     VERIFY_SCHEMES,
     ConfigError,
     ExperimentConfig,
@@ -91,6 +96,12 @@ def test_parse_type_errors_name_the_key():
         parse_config(_MINIMAL.replace("N_x = 16", "N_x = sixteen"))
     with pytest.raises(ConfigError, match="'cfl'"):
         parse_config(_MINIMAL.replace("cfl = 0.25", "cfl = fast"))
+
+
+@pytest.mark.parametrize("cfl", ["inf", "-inf", "nan", "-0.5"])
+def test_parse_rejects_nonfinite_or_negative_cfl(cfl):
+    with pytest.raises(ConfigError, match="cfl must be finite and nonnegative"):
+        parse_config(_MINIMAL.replace("cfl = 0.25", f"cfl = {cfl}"))
 
 
 def test_eigenmode_requires_indices():
@@ -352,6 +363,106 @@ def test_contour_csv_pole_sentinel(tmp_path):
     assert "1,0.5,inf" in lines
 
 
+def _reference_contour_csv(path, table):
+    """The per-value writer that ``write_contour_csv`` must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("Y,mu,h\n")
+        for row in table:
+            y, mu, h = (format(float(value), ".17g") for value in row)
+            handle.write(f"{y},{mu},{h}\n")
+
+
+_CSV_SPECIALS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.5e-310,
+    2.2250738585072014e-308, 1.0, 0.1, -1.0 / 3.0, 1e300,
+)
+_CSV_VALUES = st.one_of(
+    st.sampled_from(_CSV_SPECIALS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+# Pools lean on values that compare equal or unequal to themselves while
+# printing differently: 0.0 == -0.0, nan != nan.
+_CSV_POOL_VALUES = st.one_of(st.sampled_from((0.0, -0.0, math.nan, -math.nan)), _CSV_VALUES)
+
+
+@st.composite
+def _contour_tables(draw):
+    """(n, 3) tables whose Y and mu come from small pools, so runs of equal
+    Y recur (also non-consecutively) and mu columns repeat or differ."""
+    y_pool = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=3))
+    mu_pool = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # Free rows: Y and mu picked per row.
+        n = draw(st.integers(0, 50))
+        rows = [(draw(st.sampled_from(y_pool)), draw(st.sampled_from(mu_pool)),
+                 draw(_CSV_VALUES)) for _ in range(n)]
+    else:
+        # Blocks: each Y run carries one of a few mu columns, as a lattice does.
+        columns = draw(st.lists(st.lists(st.sampled_from(mu_pool), min_size=1, max_size=5),
+                                min_size=1, max_size=3))
+        rows = []
+        for _ in range(draw(st.integers(0, 10))):
+            y = draw(st.sampled_from(y_pool))
+            rows += [(y, mu, draw(_CSV_VALUES)) for mu in draw(st.sampled_from(columns))]
+        rows = rows[:50]
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_contour_tables())
+@example(table=np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]]))
+@example(table=np.array([[0.0, 0.0, 2.0], [1.0, -0.0, 2.0]]))
+def test_contour_csv_matches_per_value_formatting(tmp_path, table):
+    write_contour_csv(str(tmp_path / "block.csv"), table)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _figure_table(scheme_name, mu_max):
+    return contour_grid(parse_scheme_name(scheme_name).surface, 401, 401, mu_max)
+
+
+@pytest.mark.parametrize("filename,scheme_name,mu_max", FIGURE_GRIDS)
+def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name, mu_max):
+    table = _figure_table(scheme_name, mu_max)
+    write_contour_csv(str(tmp_path / "block.csv"), table)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_contour_csv_writes_without_holding_the_file(tmp_path):
+    # A 401 x 401 figure file is about 8 MB of text; the writer holds one
+    # Y-run of it at a time.
+    _, scheme_name, mu_max = FIGURE_GRIDS[0]
+    table = _figure_table(scheme_name, mu_max)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_contour_csv(str(tmp_path / "fig.csv"), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1_000_000
+
+
+@pytest.mark.parametrize("mu_max", [math.inf, math.nan, -1.0])
+def test_contour_grid_rejects_mu_max(mu_max):
+    with pytest.raises(ValueError, match="mu_max must be finite and positive"):
+        contour_grid(h_parabolic_surface("dtp_lie_theta", 1.0), 3, 3, mu_max)
+
+
+@pytest.mark.parametrize("mu_max", ["inf", "nan", "-1"])
+def test_cli_analyze_bad_mu_max_exits_2(tmp_path, capsys, mu_max):
+    out = tmp_path / "surface.csv"
+    code = cli_main(["analyze", "--scheme", "hyp-dtp-lie-fe", "--out", str(out),
+                     "--mu-max", mu_max, "--y-points", "3", "--mu-points", "3"])
+    assert code == 2
+    assert "mu_max must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_grids(tmp_path):
     paths = emit_figure_grids(str(tmp_path))
     names = [os.path.basename(p) for p in paths]
@@ -478,6 +589,28 @@ def test_cli_simulate_numerical_failure_exits_3(tmp_path, capsys, doc, failed_st
     assert code == 3
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: step {failed_step} failed")
+
+
+def test_cli_infinite_cfl_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_MINIMAL.replace("cfl = 0.25", "cfl = inf"), encoding="utf-8")
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "h.csv")]) == 2
+    assert cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--cfl", "inf",
+                     "--steps", "5", "--n-x", "16"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cfl must be finite and nonnegative, got inf"] * 2
+
+
+def test_cli_overflowing_finite_cfl_is_a_numerical_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_MINIMAL.replace("cfl = 0.25", "cfl = 1e308"), encoding="utf-8")
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "h.csv")]) == 3
+    assert cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--cfl", "1e308",
+                     "--steps", "5", "--n-x", "16"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: step 1 failed") for line in err)
 
 
 def test_cli_sweep_rows(capsys):
