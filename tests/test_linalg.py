@@ -140,7 +140,9 @@ def test_solve_dense_rejects_singular():
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_mat(n, n), _mat(n, 1))))
 def test_solve_dense_residual(pair):
     mat, rhs = pair
-    mat = mat + 10.0 * np.eye(mat.shape[0])  # keep well conditioned
+    # strictly diagonally dominant, hence nonsingular: a fixed shift such as
+    # 10*I is not (-2*ones(5, 5) + 10*I has eigenvalue 0)
+    mat = mat + np.diag(np.abs(mat).sum(axis=1) + 1.0)
     x = solve_dense(mat, rhs[:, 0])
     np.testing.assert_allclose(mat @ x, rhs[:, 0], atol=1e-8 * max(1.0, float(np.abs(rhs).max())))
 
