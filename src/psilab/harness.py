@@ -861,13 +861,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+#: Most rows one ``write_contour_csv`` string covers; bounds its memory.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_contour_csv(path: str, table: np.ndarray) -> None:
     """Write (Y, mu, h) rows, one string per run of consecutive rows sharing Y.
 
     A run's Y is formatted once, and its mu column once for as long as the
     next runs repeat it; one ``%`` over a ``%.17g`` template then fills in
-    the run's h values. Y and mu are compared bit for bit, so 0.0 and -0.0
-    stay apart, and the bytes equal those of per-value ``.17g`` formatting.
+    the run's h values. Runs longer than ``_CSV_BLOCK_ROWS`` are written in
+    pieces of that many rows. Y and mu are compared bit for bit, so 0.0 and
+    -0.0 stay apart, and the bytes equal those of per-value ``.17g``
+    formatting.
     """
     table = np.asarray(table, dtype=float)
     y_bits = table[:, 0].view(np.int64)
@@ -876,13 +882,15 @@ def write_contour_csv(path: str, table: np.ndarray) -> None:
     mu_bytes = None
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("Y,mu,h\n")
-        for lo, hi in zip(bounds, bounds[1:]):
-            run_bytes = table[lo:hi, 1].tobytes()
-            if run_bytes != mu_bytes:
-                mu_bytes = run_bytes
-                mu_lines = [f",{mu:.17g},%.17g\n" for mu in table[lo:hi, 1].tolist()]
-            y = _fmt(table[lo, 0])
-            handle.write((y + y.join(mu_lines)) % tuple(table[lo:hi, 2].tolist()))
+        for start, stop in zip(bounds, bounds[1:]):
+            for lo in range(start, stop, _CSV_BLOCK_ROWS):
+                hi = min(lo + _CSV_BLOCK_ROWS, stop)
+                run_bytes = table[lo:hi, 1].tobytes()
+                if run_bytes != mu_bytes:
+                    mu_bytes = run_bytes
+                    mu_lines = [f",{mu:.17g},%.17g\n" for mu in table[lo:hi, 1].tolist()]
+                y = _fmt(table[lo, 0])
+                handle.write((y + y.join(mu_lines)) % tuple(table[lo:hi, 2].tolist()))
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

@@ -136,7 +136,10 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
         # rank tolerance squares the entries; rescale so it stays in range.
         peak = float(np.abs(a).max(initial=0.0))
         if 0.0 < peak < np.inf:
-            q, rfac, events = qr_thin_counted(a / peak)
+            # Divide as reals: numpy's complex division multiplies by
+            # 1 / peak, which overflows for a subnormal peak.
+            scaled = (np.ascontiguousarray(a).view(np.float64) / peak).view(a.dtype)
+            q, rfac, events = qr_thin_counted(scaled)
             return q, rfac * peak, events
     q, rfac = _lapack_qr(a)
     completed: list[int] = []

@@ -423,6 +423,24 @@ def _figure_table(scheme_name, mu_max):
     return contour_grid(parse_scheme_name(scheme_name).surface, 401, 401, mu_max)
 
 
+def _long_run_table(rows):
+    """One Y for every row, as ``psilab analyze --y-points 1`` writes."""
+    rng = np.random.default_rng(0)
+    return np.column_stack([np.full(rows, 0.5), rng.random(rows), rng.random(rows)])
+
+
+def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
+    # Runs longer than one write's row cap, the second repeating the first's
+    # mu column, then a short run.
+    run = _long_run_table(2 * 1024 + 5)
+    second = run.copy()
+    second[:, 0] = -0.0
+    table = np.vstack([run, second, [[1.0, 0.0, math.nan]] * 3])
+    write_contour_csv(str(tmp_path / "block.csv"), table)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 @pytest.mark.parametrize("filename,scheme_name,mu_max", FIGURE_GRIDS)
 def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name, mu_max):
     table = _figure_table(scheme_name, mu_max)
@@ -431,11 +449,15 @@ def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_contour_csv_writes_without_holding_the_file(tmp_path):
+@pytest.mark.parametrize("shape", ["figure", "long-run"])
+def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
     # A 401 x 401 figure file is about 8 MB of text; the writer holds one
-    # Y-run of it at a time.
-    _, scheme_name, mu_max = FIGURE_GRIDS[0]
-    table = _figure_table(scheme_name, mu_max)
+    # Y-run of it at a time, and at most a fixed number of rows of a long run.
+    if shape == "figure":
+        _, scheme_name, mu_max = FIGURE_GRIDS[0]
+        table = _figure_table(scheme_name, mu_max)
+    else:
+        table = _long_run_table(200_000)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -140,9 +140,8 @@ def test_solve_dense_rejects_singular():
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_mat(n, n), _mat(n, 1))))
 def test_solve_dense_residual(pair):
     mat, rhs = pair
-    # strictly diagonally dominant, hence nonsingular: a fixed shift such as
-    # 10*I is not (-2*ones(5, 5) + 10*I has eigenvalue 0)
-    mat = mat + np.diag(np.abs(mat).sum(axis=1) + 1.0)
+    mat = mat + 10.0 * np.eye(mat.shape[0])  # keep well conditioned
+    assume(np.linalg.cond(mat) < 1e6)  # the shift alone can hit an eigenvalue -10
     x = solve_dense(mat, rhs[:, 0])
     np.testing.assert_allclose(mat @ x, rhs[:, 0], atol=1e-8 * max(1.0, float(np.abs(rhs).max())))
 
@@ -197,6 +196,15 @@ def test_qr_complex_reconstructs_with_unitary_factor(mat):
     assert np.allclose(r, np.triu(r))
     assert (np.diag(r).imag == 0).all()
     assert (np.diag(r).real >= 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_qr_rescales_a_subnormal_input(dtype):
+    mat = np.array([[5e-324], [5e-324]], dtype=dtype)
+    q, r = qr_thin(mat)
+    np.testing.assert_allclose(q, np.full((2, 1), np.sqrt(0.5)), atol=1e-15)
+    assert r[0, 0] == 5e-324  # sqrt(2) * 5e-324 rounds to the smallest subnormal
+
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
