@@ -61,6 +61,7 @@ Y_GRID = np.unique(
 
 _STABLE_SLACK = 1e-12
 _POLE_TOL = 1e-12
+_MAX_HALVINGS = 60  # bisection steps in find_boundary
 _PARABOLIC_VARIANTS = ("full_theta", "dtp_lie_theta", "hybrid", "strang_cn")
 
 
@@ -284,12 +285,13 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
 
     The cap is probed first: a scheme stable there is reported
     unconditional. Otherwise bisection on [0, cap] narrows the boundary to
-    ``tol``; the worst Y is read off the unstable bracket edge.
+    ``tol``; the worst Y is read off the unstable bracket edge. A cap and
+    tolerance that 60 halvings cannot bring together raise ValueError.
     """
-    if not mu_cap > 0.0:
-        raise ValueError("mu_cap must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < mu_cap < math.inf:
+        raise ValueError(f"mu_cap must be finite and positive, got {mu_cap}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     evals = 0
 
     def stable(mu: float) -> bool:
@@ -304,7 +306,7 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
         return BoundaryResult("unconditional", worst_y, mu_cap, mu_cap, evals)
 
     lo, hi = 0.0, mu_cap
-    for _ in range(60):
+    for _ in range(_MAX_HALVINGS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -312,6 +314,11 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
             lo = mid
         else:
             hi = mid
+    if hi - lo > tol:
+        raise ValueError(
+            f"bisection bracket [{lo:g}, {hi:g}] is still wider than tol = {tol:g} "
+            f"after {_MAX_HALVINGS} halvings of mu_cap = {mu_cap:g}"
+        )
     worst = _sweep(surface, hi)
     worst_y = float(Y_GRID[int(np.argmax(worst))])
     return BoundaryResult(0.5 * (lo + hi), worst_y, lo, hi, evals)

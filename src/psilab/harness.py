@@ -557,6 +557,8 @@ def verify_report(
     """Oracle sweep over schemes x {nodal, modal} with a(v) = v.
 
     Returns printable per-suite lines and the overall maximum discrepancy.
+    Each line names the suite's worst mode (m, k); on ties, the first in
+    (m, k) order.
     """
     names = tuple(scheme_names) if scheme_names else VERIFY_SCHEMES
     lines = []
@@ -564,11 +566,12 @@ def verify_report(
     for name in names:
         for v_mode in ("nodal", "modal"):
             rows = run_oracle_suite(name, n_x=n_x, n_v=n_v, v_mode=v_mode)
-            worst = max(row.discrepancy for row in rows)
-            overall = max(overall, worst)
+            worst = max(rows, key=lambda row: row.discrepancy)
+            overall = max(overall, worst.discrepancy)
             lines.append(
                 f"{name:<22s} {v_mode:<6s} modes={len(rows):3d}  "
-                f"max|measured - closed_form| = {worst:.3e}"
+                f"max|measured - closed_form| = {worst.discrepancy:.3e} "
+                f"at ({worst.m}, {worst.k})"
             )
     return lines, overall
 

@@ -143,18 +143,30 @@ class LowRankState:
             )
         if x.shape[0] < r or v.shape[0] < r:
             raise ValueError("rank exceeds a factor dimension")
-        for name, f in (("X", x), ("S", s), ("V", v)):
-            if not np.isfinite(f).all():
-                raise FloatingPointError(f"factor {name} has non-finite entries")
-        devs = [frobenius_norm(f.conj().T @ f - np.identity(r)) for f in (x, v)]
-        for name, dev in zip("XV", devs):
-            if dev > _ORTHO_TOL:
-                raise ValueError(f"factor {name} is not orthonormal")
+        devs = [_gram_deviation(f) for f in (x, v)]
+        # A non-finite X or V makes its deviation inf or nan, so the full
+        # finiteness scan runs only when some deviation is out of bounds.
+        if not (devs[0] <= _ORTHO_TOL and devs[1] <= _ORTHO_TOL):
+            for name, f in (("X", x), ("S", s), ("V", v)):
+                if not np.isfinite(f).all():
+                    raise FloatingPointError(f"factor {name} has non-finite entries")
+            for name, dev in zip("XV", devs):
+                if not dev <= _ORTHO_TOL:
+                    raise ValueError(f"factor {name} is not orthonormal")
+        if not np.isfinite(s).all():
+            raise FloatingPointError("factor S has non-finite entries")
         object.__setattr__(self, "ortho_residual", max(devs))
 
     @property
     def rank(self) -> int:
         return self.S.shape[0]
+
+
+def _gram_deviation(f: np.ndarray) -> float:
+    """Frobenius norm of F^H F - I, formed in at least double precision."""
+    gram = np.asarray(f.conj().T @ f, dtype=np.result_type(f, np.float64))
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return frobenius_norm(gram)
 
 
 @dataclass(frozen=True)

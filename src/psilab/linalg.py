@@ -1,14 +1,17 @@
 """Dense linear-algebra kernels for the low-rank integrator lab.
 
-Plain numpy arrays (float64 or complex128) are the only data format. Every
-kernel wraps LAPACK with the conventions the steppers need. The thin QR
-(``geqrf`` with ``orgqr``/``ungqr``) adds two properties a bare
-factorization lacks: a deterministic gauge (real nonnegative diagonal of the
-triangular factor), and a well-defined orthonormal frame whenever a factor
-momentarily loses rank, completed by refactoring with a canonical direction
-in place of each dependent column. Symmetric eigendecomposition comes sorted
-and sign-oriented; a ``Diagonalization`` carries an operator's eigenbasis as
-a matrix or a fast transform; each pivot or symbol is screened on its scale.
+Plain numpy arrays (float64 or complex128) are the only data format, and
+numpy is the only runtime dependency: the thin QR calls LAPACK ``geqrf``
+with ``orgqr``/``ungqr`` through numpy's own binding,
+``numpy.linalg.lapack_lite``, and only the test reference ``solve_dense``
+imports scipy. Every kernel wraps LAPACK with the conventions the steppers
+need. The thin QR adds two properties a bare factorization lacks: a
+deterministic gauge (real nonnegative diagonal of the triangular factor),
+and a well-defined orthonormal frame whenever a factor momentarily loses
+rank, completed by refactoring with a canonical direction in place of each
+dependent column. Symmetric eigendecomposition comes sorted and
+sign-oriented; a ``Diagonalization`` carries an operator's eigenbasis as a
+matrix or a fast transform; each pivot or symbol is screened on its scale.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "Diagonalization",
@@ -44,8 +47,8 @@ _PIVOT_TOL = 1e-13
 
 # LAPACK Householder QR (factor, then form the thin Q) for each input dtype.
 _QR_ROUTINES = {
-    np.dtype(np.float64): scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), dtype=np.float64),
-    np.dtype(np.complex128): scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"), dtype=np.complex128),
+    np.dtype(np.float64): (lapack_lite.dgeqrf, lapack_lite.dorgqr),
+    np.dtype(np.complex128): (lapack_lite.zgeqrf, lapack_lite.zungqr),
 }
 
 
@@ -105,9 +108,18 @@ def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK Householder QR: the thin Q, and R with reflector data below
     its diagonal."""
     geqrf, orgqr = _QR_ROUTINES[a.dtype]
-    packed, tau, _, _ = geqrf(a)
-    q, _, _ = orgqr(packed, tau)
-    return q, packed[: a.shape[1]]
+    m, n = a.shape
+    # A C-order copy of A^T is A in LAPACK's column-major order.
+    buf = a.T.copy()
+    tau = np.empty(n, a.dtype)
+    lwork = max(1, 64 * n)
+    work = np.empty(lwork, a.dtype)
+    if geqrf(m, n, buf, m, tau, work, lwork, 0)["info"]:
+        raise np.linalg.LinAlgError("geqrf failed")
+    packed = buf[:, :n].T.copy(order="F")  # orgqr overwrites buf
+    if orgqr(m, n, n, buf, m, tau, work, lwork, 0)["info"]:
+        raise np.linalg.LinAlgError("orgqr failed")
+    return buf.T, packed
 
 
 def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
@@ -229,7 +241,8 @@ def solve_dense(mat, rhs) -> np.ndarray:
     Accepts one right-hand side (1-D) or several (2-D columns). A singular or
     near-singular matrix (smallest/largest pivot ratio at most 1e-13) raises
     SingularMatrixError carrying the pivot magnitude. Tests use it as the
-    reference for the steppers' diagonalized solves.
+    reference for the steppers' diagonalized solves; it factors with scipy,
+    imported here so that the package itself never loads it.
     """
     a = np.asarray(mat)
     b = np.asarray(rhs)
@@ -238,6 +251,8 @@ def solve_dense(mat, rhs) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side shape {b.shape} does not match matrix {a.shape}")
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(b)) else np.float64
+    import scipy.linalg
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a.astype(dtype, copy=True))

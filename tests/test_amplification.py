@@ -1,5 +1,7 @@
 """Closed-form amplification surfaces, parabolic multipliers, boundaries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,35 @@ def test_boundary_unconditional_hits_cap():
     res = find_boundary(info.surface, 1e6, 1e-4)
     assert res.critical_mu == "unconditional"
     assert res.lo == res.hi == 1e6
+
+
+@pytest.mark.parametrize("mu_cap", [math.inf, math.nan, 0.0, -1.0])
+def test_boundary_rejects_bad_cap(mu_cap):
+    info = parse_scheme_name("hyp-dtp-lie-fe")
+    with pytest.raises(ValueError, match="mu_cap must be finite and positive"):
+        find_boundary(info.surface, mu_cap, 1e-4)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_boundary_rejects_bad_tol(tol):
+    info = parse_scheme_name("hyp-dtp-lie-fe")
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        find_boundary(info.surface, info.mu_cap, tol)
+
+
+def test_boundary_raises_when_bisection_cannot_reach_tol():
+    # 60 halvings of 1e308 leave a bracket of ~8.7e289, far wider than tol
+    info = parse_scheme_name("hyp-dtp-lie-fe")
+    with pytest.raises(ValueError, match="still wider than tol"):
+        find_boundary(info.surface, 1e308, 1e-5)
+
+
+def test_boundary_largest_reachable_bracket_still_converges():
+    # 2^60 * tol is exactly what 60 halvings bring down to tol
+    info = parse_scheme_name("hyp-dtp-lie-fe")
+    res = find_boundary(info.surface, 2.0**60 * 1e-6, 1e-6)
+    assert res.hi - res.lo <= 1e-6
+    assert res.critical_mu == pytest.approx(1.0 / 3.0, abs=1e-5)
 
 
 def test_contour_grid_shape_and_corner():

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import psilab
+import psilab.harness as harness
 from psilab.cli import main as cli_main
 from psilab.harness import (
     BOUNDARY_SUITE,
@@ -17,6 +21,7 @@ from psilab.harness import (
     ConfigError,
     ExperimentConfig,
     NumericalError,
+    OracleRow,
     RunRecord,
     build_problem,
     derive_dt,
@@ -32,6 +37,7 @@ from psilab.harness import (
     run_simulation,
     serialize_config,
     stability_verdict,
+    verify_report,
     write_boundary_csv,
     write_contour_csv,
     write_history_csv,
@@ -534,6 +540,30 @@ def test_cli_boundary(tmp_path, capsys):
     assert out.read_text(encoding="utf-8").startswith("scheme,critical_mu")
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--mu-cap", "inf"], "error: mu_cap must be finite and positive, got inf"),
+        (["--mu-cap", "nan"], "error: mu_cap must be finite and positive, got nan"),
+        (["--tol", "inf"], "error: tol must be finite and positive, got inf"),
+        (["--mu-cap", "1e308"], "error: bisection bracket [0, 8.67362e+289] is still wider"),
+    ],
+)
+def test_cli_boundary_bad_search_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "thresholds.csv"
+    code = cli_main(["boundary", "--scheme", "hyp-dtp-lie-fe", "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert captured.out == "" and not out.exists()
+
+
+def test_boundary_suite_bisection_count():
+    rows = run_boundary_suite()
+    assert len(rows) == 13
+    assert sum(row.result.evaluations for row in rows) == 235
+
+
 def test_cli_simulate(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(_MINIMAL, encoding="utf-8")
@@ -549,6 +579,48 @@ def test_cli_verify_single_family(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_names_first_worst_mode(monkeypatch):
+    def fake_suite(name, n_x, n_v, v_mode):
+        gaps = {(0, 0): 1e-15, (0, 1): 3e-15, (1, 0): 3e-15, (1, 1): 2e-15}
+        return [OracleRow(name, v_mode, m, k, gap, 0.0) for (m, k), gap in gaps.items()]
+
+    monkeypatch.setattr(harness, "run_oracle_suite", fake_suite)
+    lines, overall = verify_report(("hyp-dtp-lie-fe",))
+    assert overall == 3e-15
+    assert [line.split("= ")[-1] for line in lines] == ["3.000e-15 at (0, 1)"] * 2
+
+
+def _python(code: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this psilab tree."""
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    proc = _python(
+        "import sys, psilab, psilab.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["boundary", "--out", "b.csv"]])
+def test_cli_runs_with_scipy_blocked(tmp_path, argv):
+    proc = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from psilab.cli import main\n"
+        f"sys.exit(main({argv!r}))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
 
 
 def test_cli_figures(tmp_path, capsys):

@@ -249,6 +249,36 @@ def test_state_rejects_non_finite_factors(factor):
         LowRankState(**factors)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_state_ortho_residual_bitwise_matches_identity_difference(kind):
+    rng = np.random.default_rng(5)
+    u0 = rng.standard_normal((_NX, _NV))
+    if kind == "complex":
+        u0 = u0 + 1j * rng.standard_normal((_NX, _NV))
+    state = init_lowrank(u0, 3)
+    eye = np.identity(3)
+    devs = [frobenius_norm(f.conj().T @ f - eye) for f in (state.X, state.V)]
+    assert state.ortho_residual == max(devs)
+
+
+def test_state_accepts_integer_frames():
+    frame = np.eye(_NX, 2, dtype=int)
+    assert LowRankState(X=frame, S=np.eye(2), V=frame).ortho_residual == 0.0
+
+
+@pytest.mark.parametrize("factor", ["X", "V"])
+def test_state_rejects_non_orthonormal_factors(factor):
+    state = init_lowrank(np.random.default_rng(4).standard_normal((_NX, _NV)), 2)
+    factors = {"X": state.X.copy(), "S": state.S.copy(), "V": state.V.copy()}
+    factors[factor] *= 1.001
+    with pytest.raises(ValueError, match=f"factor {factor} is not orthonormal"):
+        LowRankState(**factors)
+    # a non-finite core is named even when a frame is also off
+    factors["S"][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="factor S"):
+        LowRankState(**factors)
+
+
 def _coefficient_with_spectrum(lams, seed):
     """A symmetric matrix with the given eigenvalues and random eigenvectors."""
     q, _ = qr_thin(np.random.default_rng(seed).standard_normal((len(lams), len(lams))))

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from psilab.linalg import (
     SingularMatrixError,
+    _lapack_qr,
     frobenius_norm,
     matrix_abs,
     qr_thin,
@@ -289,3 +290,19 @@ def test_sym_eig_orientation_bitwise_matches_loop(seed):
         vals, vecs = _sym_eig_loop_reference(mat)
         assert dec.eigenvalues.tobytes() == vals.tobytes()
         assert dec.eigenvectors.tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (16, 1), (64, 4), (1024, 4)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lapack_qr_bitwise_matches_numpy_qr(shape, kind):
+    rng = np.random.default_rng(shape[0] + 7 * shape[1])
+    mat = rng.standard_normal(shape)
+    if kind == "complex":
+        mat = mat + 1j * rng.standard_normal(shape)
+    before = mat.copy()
+    q, packed = _lapack_qr(mat)
+    q_ref, r_ref = np.linalg.qr(mat)
+    assert q.dtype == q_ref.dtype and q.shape == q_ref.shape
+    assert q.tobytes() == q_ref.tobytes()
+    assert np.triu(packed).tobytes() == r_ref.tobytes()
+    assert mat.tobytes() == before.tobytes()  # the input is not overwritten
