@@ -11,9 +11,12 @@ gives two views of it:
   objects the stability boundaries and contour grids are built from.
   Stability of a scheme means every surface value stays at or below one.
 
-Implicit parabolic factors blow up where a backward substep hits its
-resonance; surfaces emit inf there (kept as a sentinel in grid output) while
-the scalar path raises PoleError.
+A diffusion multiplier is a product of implicit factors, each a quotient
+(numerator, denominator) read off the ``SchemeSpec``. One pole rule covers
+them all: a factor whose denominator lies within _POLE_TOL * (1 + |x|) of
+zero is at its resonance. There the array path (surfaces, worst-mode scan)
+yields inf, kept as a sentinel in grid output, and the scalar path
+(``mode_multiplier``, ``g_parabolic``) raises PoleError.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ Y_GRID = np.unique(
 _STABLE_SLACK = 1e-12
 _POLE_TOL = 1e-12
 _MAX_HALVINGS = 60  # bisection steps in find_boundary
-_PARABOLIC_VARIANTS = ("full_theta", "dtp_lie_theta", "hybrid", "strang_cn")
 
 
 class PoleError(ArithmeticError):
@@ -152,37 +154,68 @@ def _hyperbolic_multiplier(spec: SchemeSpec, y, nu, z):
     return pk * ps * pl * ps * pk
 
 
-def _g_parabolic(x, variant: str, theta: float | None, poles: str):
-    """Diffusion multiplier at x = 2*Y*nu.
-
-    Within _POLE_TOL of a resonance, ``poles="raise"`` (scalars) raises
-    PoleError and ``poles="inf"`` (arrays) yields inf; ``poles="raw"``
-    (arrays) divides as is, so only an exact resonance yields inf.
-    """
-    near = False
-
-    def div(num, den):
-        nonlocal near
-        if poles == "raise":
-            if abs(den) <= _POLE_TOL * (1.0 + abs(x)):
-                raise PoleError(x, variant)
-        elif poles == "inf":
-            near = near | (np.abs(den) <= _POLE_TOL * (1.0 + np.abs(x)))
-        return num / den
-
-    if variant == "hybrid":
-        g = div(1.0, 1.0 + x)
-    elif variant == "strang_cn" or (variant == "dtp_lie_theta" and theta == 0.5):
+def _parabolic_factors(spec: SchemeSpec, x):
+    """(numerator, denominator) pairs of the diffusion multiplier at
+    x = 2*Y*nu; their quotients multiply left to right."""
+    if spec.substep == "hybrid_be_fe_be":
+        return [(1.0, 1.0 + x)]
+    theta = spec.theta_value
+    step = (1.0 - (1.0 - theta) * x, 1.0 + theta * x)
+    if spec.approach == "full_tensor" or theta == 0.5:
         # Strang telescopes to one Crank-Nicolson step; the Lie backward
         # substep cancels one forward factor exactly.
-        g = div(1.0 - 0.5 * x, 1.0 + 0.5 * x)
-    else:
-        g = div(1.0 - (1.0 - theta) * x, 1.0 + theta * x)
-        if variant != "full_theta":
-            g = g * g * div(1.0 + (1.0 - theta) * x, 1.0 - theta * x)
-    if poles == "inf":
-        g = np.where(near, np.inf, g)
+        return [step]
+    return [step, step, (1.0 + (1.0 - theta) * x, 1.0 - theta * x)]
+
+
+def _at_pole(den, x):
+    """The pole rule, on floats or arrays: |den| <= _POLE_TOL * (1 + |x|)."""
+    return abs(den) <= _POLE_TOL * (1.0 + abs(x))
+
+
+def _multiplier(spec: SchemeSpec, y, nu, z):
+    """One-step factor of every scheme on arrays, the single formula behind
+    the stability surfaces and the worst-mode scan; inf at implicit poles."""
+    if spec.equation == "hyperbolic":
+        return _hyperbolic_multiplier(spec, y, nu, z)
+    x = 2.0 * y * nu
+    g, near = 1.0, False
+    for num, den in _parabolic_factors(spec, x):
+        near = near | _at_pole(den, x)
+        g = g * (num / den)
+    return np.where(near, np.inf, g)
+
+
+def _parabolic_scalar(spec: SchemeSpec, x: float) -> float:
+    """The diffusion multiplier in float arithmetic; PoleError at a pole."""
+    g = 1.0
+    for num, den in _parabolic_factors(spec, x):
+        if _at_pole(den, x):
+            raise PoleError(x, repr(spec))
+        g = g * (num / den)
     return g
+
+
+def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
+    """Exact one-step factor of the scheme on the rank-1 Fourier probe."""
+    if spec.equation == "hyperbolic":
+        return complex(_hyperbolic_multiplier(spec, q.y, q.nu, q.z))
+    return complex(_parabolic_scalar(spec, 2.0 * q.y * q.nu))
+
+
+#: Diffusion variant names and the (approach, splitting, substep) of each.
+_VARIANTS = {
+    "full_theta": ("full_tensor", "lie", "theta"),
+    "dtp_lie_theta": ("dtp", "lie", "theta"),
+    "hybrid": ("dtp", "lie", "hybrid_be_fe_be"),
+    "strang_cn": ("dtp", "strang", "crank_nicolson"),
+}
+
+
+def _variant_spec(variant: str, theta: float | None) -> SchemeSpec:
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown parabolic variant '{variant}'")
+    return SchemeSpec("parabolic", *_VARIANTS[variant], theta)
 
 
 def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
@@ -192,35 +225,9 @@ def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
     splitting with theta substeps; identical for both low-rank formulations),
     ``hybrid`` (backward-forward-backward Euler), ``strang_cn`` (Strang with
     Crank-Nicolson substeps, which telescopes to one Crank-Nicolson step).
+    Theta is given exactly for the theta variants, in [0, 1].
     """
-    if variant not in _PARABOLIC_VARIANTS:
-        raise ValueError(f"unknown parabolic variant '{variant}'")
-    if variant in ("full_theta", "dtp_lie_theta"):
-        if theta is None or not 0.0 <= theta <= 1.0:
-            raise ValueError("theta in [0, 1] is required for theta variants")
-    elif theta is not None:
-        raise ValueError(f"variant '{variant}' takes no theta")
-    return _g_parabolic(x, variant, theta, poles="raise")
-
-
-def _multiplier(spec: SchemeSpec, y, nu, z, poles: str):
-    """The one-step factor of every scheme, the single formula behind
-    ``mode_multiplier``, the stability surfaces and the worst-mode scan.
-    ``poles`` is "raise", "inf" or "raw", as in ``_g_parabolic``."""
-    if spec.equation == "hyperbolic":
-        return _hyperbolic_multiplier(spec, y, nu, z)
-    x = 2.0 * y * nu
-    if spec.substep == "hybrid_be_fe_be":
-        return _g_parabolic(x, "hybrid", None, poles)
-    if spec.splitting == "strang":
-        return _g_parabolic(x, "strang_cn", None, poles)
-    variant = "full_theta" if spec.approach == "full_tensor" else "dtp_lie_theta"
-    return _g_parabolic(x, variant, spec.theta_value, poles)
-
-
-def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
-    """Exact one-step factor of the scheme on the rank-1 Fourier probe."""
-    return complex(_multiplier(spec, q.y, q.nu, q.z, poles="raise"))
+    return _parabolic_scalar(_variant_spec(variant, theta), x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +245,12 @@ def _surface(g):
 
 def stability_surface(spec: SchemeSpec):
     """The (Y, mu) stability surface of a scheme, inf at implicit poles."""
-    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z, poles="raw"))
+    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z))
 
 
 def h_parabolic_surface(variant: str, theta: float | None = None):
     """The (Y, mu) stability surface of a diffusion multiplier variant."""
-    g_parabolic(0.0, variant, theta)  # validate variant/theta pairing
-    return _surface(lambda y, nu, z: _g_parabolic(2.0 * y * nu, variant, theta, "raw"))
+    return stability_surface(_variant_spec(variant, theta))
 
 
 #: Hyperbolic surfaces: full-tensor upwind forward Euler, then the Lie

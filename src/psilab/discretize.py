@@ -194,22 +194,17 @@ def build_nodal(coeff_fn: Callable[[np.ndarray], np.ndarray], v_points) -> VDisc
 
 
 def build_modal(
-    coeff_fn: Callable[[np.ndarray], np.ndarray],
-    basis_size: int,
-    quadrature_order: int | None = None,
+    coeff_fn: Callable[[np.ndarray], np.ndarray], basis_size: int
 ) -> VDiscretization:
     """Galerkin velocity operator in the normalized Legendre basis on [-1, 1].
 
     Entries are quadrature approximations of the weighted products of basis
-    functions; the default order 2*basis_size integrates polynomial
+    functions; the Gauss order 2*basis_size integrates polynomial
     coefficients in the registry exactly.
     """
     if basis_size < 1:
         raise ValueError("basis_size must be at least 1")
-    order = 2 * basis_size if quadrature_order is None else quadrature_order
-    if order < basis_size:
-        raise ValueError("quadrature order too small for the basis")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(2 * basis_size)
     vander = np.polynomial.legendre.legvander(nodes, basis_size - 1)
     norms = np.sqrt((2.0 * np.arange(basis_size) + 1.0) / 2.0)
     phi = vander * norms[np.newaxis, :]

@@ -51,17 +51,17 @@ __all__ = [
     "step",
 ]
 
-_EQUATIONS = ("hyperbolic", "parabolic")
 _APPROACHES = ("full_tensor", "dtp", "ptd")
-_SPLITTINGS = ("lie", "strang")
-_SUBSTEPS = (
-    "forward_euler",
-    "ssp_rk2",
-    "backward_euler",
-    "crank_nicolson",
-    "theta",
-    "hybrid_be_fe_be",
-)
+
+#: Substeps each (equation, splitting) pair is defined with.
+_SCHEME_SUBSTEPS = {
+    ("hyperbolic", "lie"): ("forward_euler",),
+    ("hyperbolic", "strang"): ("ssp_rk2",),
+    ("parabolic", "lie"): (
+        "forward_euler", "backward_euler", "crank_nicolson", "theta", "hybrid_be_fe_be",
+    ),
+    ("parabolic", "strang"): ("crank_nicolson",),
+}
 
 _ORTHO_TOL = 1e-8
 
@@ -77,40 +77,32 @@ class SchemeSpec:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.equation not in _EQUATIONS:
-            raise ValueError(f"unknown equation '{self.equation}'")
+        substeps = _SCHEME_SUBSTEPS.get((self.equation, self.splitting))
+        if substeps is None:
+            raise ValueError(
+                f"unknown equation '{self.equation}' or splitting '{self.splitting}'"
+            )
         if self.approach not in _APPROACHES:
             raise ValueError(f"unknown approach '{self.approach}'")
-        if self.splitting not in _SPLITTINGS:
-            raise ValueError(f"unknown splitting '{self.splitting}'")
-        if self.substep not in _SUBSTEPS:
-            raise ValueError(f"unknown substep '{self.substep}'")
-        if self.approach == "full_tensor" and self.splitting != "lie":
-            raise ValueError("splitting only applies to low-rank approaches")
-        if self.equation == "hyperbolic":
-            if self.substep not in ("forward_euler", "ssp_rk2"):
-                raise ValueError("hyperbolic schemes use forward_euler or ssp_rk2 substeps")
-            if self.theta is not None:
-                raise ValueError("theta only applies to parabolic schemes")
-            if self.splitting == "strang" and self.substep != "ssp_rk2":
-                raise ValueError("hyperbolic Strang splitting is defined with ssp_rk2")
-            if self.splitting == "lie" and self.substep != "forward_euler":
-                raise ValueError("hyperbolic Lie splitting is defined with forward_euler")
-        else:
-            if self.substep == "ssp_rk2":
-                raise ValueError("ssp_rk2 is a hyperbolic substep")
-            if self.substep == "hybrid_be_fe_be":
-                if self.approach not in ("dtp", "ptd") or self.splitting != "lie":
-                    raise ValueError("the hybrid substep needs a low-rank Lie splitting")
-            if self.splitting == "strang" and self.substep != "crank_nicolson":
-                raise ValueError("parabolic Strang splitting is defined with crank_nicolson")
-        if self.substep == "theta":
-            if self.theta is None:
-                raise ValueError("substep 'theta' needs an explicit theta in [0, 1]")
-            if not 0.0 <= self.theta <= 1.0:
-                raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        elif self.theta is not None:
-            raise ValueError("theta is only accepted with substep 'theta'")
+        if self.substep not in substeps:
+            raise ValueError(
+                f"{self.equation} {self.splitting} splitting takes substeps "
+                f"{', '.join(substeps)}; got '{self.substep}'"
+            )
+        if self.approach == "full_tensor" and (
+            self.splitting != "lie" or self.substep == "hybrid_be_fe_be"
+        ):
+            raise ValueError(
+                f"full_tensor schemes take lie splitting and no hybrid substep; "
+                f"got '{self.splitting}' with '{self.substep}'"
+            )
+        if (self.theta is not None) != (self.substep == "theta"):
+            raise ValueError(
+                f"theta is given exactly when the substep is 'theta'; "
+                f"got substep '{self.substep}' with theta {self.theta!r}"
+            )
+        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
     @property
     def theta_value(self) -> float:

@@ -244,3 +244,30 @@ def test_contour_grid_marks_poles_infinite():
     # x = 2 mu Y crosses the backward Euler pole x = 1 at (Y, mu) = (1, 1/2)
     hit = table[(table[:, 0] == 1.0) & (table[:, 1] == 0.5)]
     assert np.isinf(hit[0, 2])
+    # On the 23 x 101 grid, (Y, mu) = (10/11, 0.55) lands on x = 1 only up to
+    # roundoff; the pole rule still marks it.
+    table = contour_grid(surf, 23, 101, 1.0)
+    y, mu, h = table[10 * 101 + 55]
+    assert y == pytest.approx(10.0 / 11.0) and mu == pytest.approx(0.55)
+    assert 2.0 * y * mu != 1.0
+    assert np.isinf(h)
+
+
+_BAD_VARIANTS = [
+    ("bogus", None),
+    ("hybrid", 0.5),
+    ("strang_cn", 0.5),
+    ("full_theta", None),
+    ("dtp_lie_theta", None),
+    ("full_theta", -0.1),
+    ("dtp_lie_theta", 1.5),
+    ("dtp_lie_theta", math.nan),
+]
+
+
+@pytest.mark.parametrize("variant,theta", _BAD_VARIANTS)
+def test_parabolic_variant_rejects_bad_theta_pairing(variant, theta):
+    with pytest.raises(ValueError):
+        g_parabolic(0.5, variant, theta)
+    with pytest.raises(ValueError):
+        h_parabolic_surface(variant, theta)

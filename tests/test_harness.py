@@ -137,6 +137,23 @@ def test_config_round_trip(extra):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_serialize_config_bytes():
+    # Keys come out in grammar order whatever the document order; floats
+    # as repr.
+    doc = (
+        "mode_k = 1\nmode_m = 3\ninitial_data = eigenmode\nseed = 42\nsteps = 7\n"
+        "cfl = 0.1\nv_mode = modal\ncoefficient = const:0.7\nrank = 2\nN_v = 5\n"
+        "N_x = 12\ntheta = 0.3\nsubstep = theta\nsplitting = lie\napproach = ptd\n"
+        "equation = parabolic\n"
+    )
+    assert serialize_config(parse_config(doc)) == (
+        "equation = parabolic\napproach = ptd\nsplitting = lie\nsubstep = theta\n"
+        "theta = 0.3\nN_x = 12\nN_v = 5\nrank = 2\ncoefficient = const:0.7\n"
+        "v_mode = modal\ncfl = 0.1\nsteps = 7\nseed = 42\ninitial_data = eigenmode\n"
+        "mode_m = 3\nmode_k = 1\n"
+    )
+
+
 def test_zero_steps_gives_single_record():
     cfg = parse_config(_MINIMAL.replace("steps = 10", "steps = 0"))
     records = run_simulation(cfg)
@@ -530,6 +547,16 @@ def test_cli_analyze(tmp_path, capsys):
     assert lines[0] == "Y,mu,h"
     assert len(lines) == 1 + 11 * 7
     assert "rows" in capsys.readouterr().out
+
+
+def test_cli_analyze_marks_near_pole_infinite(tmp_path):
+    # x = 2 Y mu = 1 at (Y, mu) = (10/11, 0.55) in exact arithmetic only.
+    out = tmp_path / "surface.csv"
+    code = cli_main(["analyze", "--scheme", "par-dtp-lie-theta1", "--out", str(out),
+                     "--y-points", "23", "--mu-points", "101"])
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1 + 10 * 101 + 55] == "0.90909090909090917,0.55000000000000004,inf"
 
 
 def test_cli_boundary(tmp_path, capsys):

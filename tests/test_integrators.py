@@ -1,5 +1,7 @@
 """Stepper behavior: retractions, exact mode closures, splitting order."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -235,6 +237,52 @@ def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(equation="hyperbolic", approach="dtp", splitting="strang",
                    substep="forward_euler")
+
+
+#: Every scheme SchemeSpec accepts among the axis values below.
+_VALID_SCHEMES = {
+    ("hyperbolic", "full_tensor", "lie", "forward_euler", None),
+    ("hyperbolic", "dtp", "lie", "forward_euler", None),
+    ("hyperbolic", "dtp", "strang", "ssp_rk2", None),
+    ("hyperbolic", "ptd", "lie", "forward_euler", None),
+    ("hyperbolic", "ptd", "strang", "ssp_rk2", None),
+    ("parabolic", "full_tensor", "lie", "forward_euler", None),
+    ("parabolic", "full_tensor", "lie", "backward_euler", None),
+    ("parabolic", "full_tensor", "lie", "crank_nicolson", None),
+    ("parabolic", "full_tensor", "lie", "theta", 0.3),
+    ("parabolic", "dtp", "lie", "forward_euler", None),
+    ("parabolic", "dtp", "lie", "backward_euler", None),
+    ("parabolic", "dtp", "lie", "crank_nicolson", None),
+    ("parabolic", "dtp", "lie", "theta", 0.3),
+    ("parabolic", "dtp", "lie", "hybrid_be_fe_be", None),
+    ("parabolic", "dtp", "strang", "crank_nicolson", None),
+    ("parabolic", "ptd", "lie", "forward_euler", None),
+    ("parabolic", "ptd", "lie", "backward_euler", None),
+    ("parabolic", "ptd", "lie", "crank_nicolson", None),
+    ("parabolic", "ptd", "lie", "theta", 0.3),
+    ("parabolic", "ptd", "lie", "hybrid_be_fe_be", None),
+    ("parabolic", "ptd", "strang", "crank_nicolson", None),
+}
+
+
+def test_scheme_spec_accepts_exactly_the_valid_combinations():
+    combos = list(itertools.product(
+        ("hyperbolic", "parabolic"),
+        ("full_tensor", "dtp", "ptd"),
+        ("lie", "strang"),
+        ("forward_euler", "ssp_rk2", "backward_euler", "crank_nicolson", "theta",
+         "hybrid_be_fe_be"),
+        (None, 0.3),
+    ))
+    assert len(combos) == 144
+    accepted = set()
+    for combo in combos:
+        try:
+            SchemeSpec(*combo)
+        except ValueError:
+            continue
+        accepted.add(combo)
+    assert accepted == _VALID_SCHEMES
 
 
 @pytest.mark.parametrize("factor", ["X", "S", "V"])
