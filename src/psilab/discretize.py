@@ -81,22 +81,26 @@ class XGrid:
 
     ``alpha`` applies the antisymmetric first difference (u_{j+1} - u_{j-1}),
     ``beta`` the symmetric second difference (u_{j-1} - 2 u_j + u_{j+1}),
-    both along axis 0 with wraparound. Both are circulant: FFT mode m is an
-    eigenvector, and ``beta`` multiplies it by -``two_y``[m].
+    both with wraparound along the grid axis: the rows of a matrix or of each
+    matrix in a stack, the entries of a vector. Both are circulant: FFT mode
+    m is an eigenvector, and ``beta`` multiplies it by -``two_y``[m].
     """
 
     n_x: int
     dx: float
 
     def alpha(self, u) -> np.ndarray:
-        p = _wrap_pad(u)
-        return p[2:] - p[:-2]
+        u = np.asarray(u)
+        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
+        out = p[2:] - p[:-2]
+        return out if u.ndim < 3 else out.swapaxes(0, -2)
 
     def beta(self, u) -> np.ndarray:
-        p = _wrap_pad(u)
+        u = np.asarray(u)
+        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
         out = p[2:] + p[:-2]
         out -= 2.0 * p[1:-1]
-        return out
+        return out if u.ndim < 3 else out.swapaxes(0, -2)
 
     @cached_property
     def two_y(self) -> np.ndarray:
@@ -105,8 +109,8 @@ class XGrid:
 
     @cached_property
     def beta_eig(self) -> Diagonalization:
-        """``beta`` diagonalized by the FFT along axis 0 (eigenvalues -2 Y_m)."""
-        fft, ifft = partial(np.fft.fft, axis=0), partial(np.fft.ifft, axis=0)
+        """``beta`` diagonalized by the FFT along the grid axis (eigenvalues -2 Y_m)."""
+        fft, ifft = partial(np.fft.fft, axis=-2), partial(np.fft.ifft, axis=-2)
         return Diagonalization(-self.two_y, fft, ifft, real=True)
 
     @cached_property
@@ -120,14 +124,14 @@ class XGrid:
         return self.beta(np.identity(self.n_x))
 
 
-def _wrap_pad(u) -> np.ndarray:
-    """u with one periodic ghost row on each end of axis 0.
+def _wrap_pad(u: np.ndarray) -> np.ndarray:
+    """u with one periodic ghost row on each end of axis 0; the stencils
+    move a stack's grid axis (-2) to the front first, and back after.
 
     Shifted slices of the padded copy apply a stencil at every row at once;
     at small n_x this beats both np.roll and writing the wraparound rows
     separately, and at large n_x it matches them.
     """
-    u = np.asarray(u)
     return np.concatenate((u[-1:], u, u[:1]))
 
 

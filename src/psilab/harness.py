@@ -33,7 +33,6 @@ from .discretize import (
     build_nodal,
     build_xgrid,
     coefficient_from_name,
-    fourier_mode,
     gauss_legendre_points,
     mode_coords,
 )
@@ -57,8 +56,10 @@ __all__ = [
     "SchemeInfo",
     "VERIFY_SCHEMES",
     "build_problem",
+    "complex_mode_probes",
     "emit_figure_grids",
     "initial_state",
+    "measured_mode_multipliers",
     "parabolic_mode_equivalence",
     "parse_config",
     "parse_scheme_name",
@@ -415,28 +416,50 @@ def build_problem(cfg: ExperimentConfig) -> tuple[VDiscretization, XGrid, float]
 # mode oracle machinery
 
 
+def complex_mode_probes(ms, ks, vdisc: VDiscretization, grid: XGrid) -> LowRankState:
+    """Rank-1 probes x_m v_k^T as one complex factored state stacked along a
+    leading axis, probe i on the pair (ms[i], ks[i]): x_m is Fourier mode m
+    scaled to unit norm, v_k the k-th velocity eigenvector, S = sqrt(N_x)."""
+    ms, ks = np.asarray(ms), np.asarray(ks)
+    n_x = grid.n_x
+    outside = (ms < 0) | (ms >= n_x)
+    if outside.any():
+        raise ValueError(f"mode indices {ms[outside].tolist()} outside [0, {n_x})")
+    j = np.arange(n_x)
+    # fourier_mode's phases in its operation order, so each probe is bitwise its mode
+    modes = np.exp(2j * np.pi * ms[:, None] * j / n_x)
+    x = (modes / np.sqrt(n_x))[:, :, None]
+    v = vdisc.spectrum.eigenvectors[:, ks].T.astype(np.complex128)[:, :, None]
+    s = np.full((len(ms), 1, 1), np.sqrt(n_x), dtype=np.complex128)
+    return LowRankState(X=x, S=s, V=v)
+
+
 def complex_mode_state(m: int, k: int, vdisc: VDiscretization, grid: XGrid) -> LowRankState:
     """Rank-1 probe x_m v_k^T as a complex factored state."""
-    mode = fourier_mode(m, grid.n_x)
-    x = (mode / np.sqrt(grid.n_x)).reshape(-1, 1)
-    v = vdisc.spectrum.eigenvectors[:, k].astype(np.complex128).reshape(-1, 1)
-    s = np.array([[np.sqrt(grid.n_x)]], dtype=np.complex128)
-    return LowRankState(X=x, S=s, V=v)
+    probe = complex_mode_probes([m], [k], vdisc, grid)
+    return LowRankState(X=probe.X[0], S=probe.S[0], V=probe.V[0])
+
+
+def measured_mode_multipliers(
+    spec: SchemeSpec, ms, ks, vdisc: VDiscretization, grid: XGrid, dt: float
+) -> np.ndarray:
+    """One production step on the stack of complex rank-1 probes (ms[i],
+    ks[i]); multiplier i is <u0_i, u1_i> / <u0_i, u0_i>."""
+    probes = complex_mode_probes(ms, ks, vdisc, grid)
+    u0 = reconstruct(probes)
+    if spec.approach == "full_tensor":
+        u1 = np.asarray(step(spec, u0, vdisc, grid, dt).state_after)
+    else:
+        u1 = reconstruct(step(spec, probes, vdisc, grid, dt).state_after)
+    u0, u1 = u0.reshape(len(u0), -1), u1.reshape(len(u1), -1)
+    return np.vecdot(u0, u1) / np.vecdot(u0, u0)
 
 
 def measured_mode_multiplier(
     spec: SchemeSpec, m: int, k: int, vdisc: VDiscretization, grid: XGrid, dt: float
 ) -> complex:
     """One production step on the complex rank-1 probe, read off as a scalar."""
-    state = complex_mode_state(m, k, vdisc, grid)
-    u0 = reconstruct(state)
-    if spec.approach == "full_tensor":
-        report = step(spec, u0, vdisc, grid, dt)
-        u1 = np.asarray(report.state_after)
-    else:
-        report = step(spec, state, vdisc, grid, dt)
-        u1 = reconstruct(report.state_after)
-    return complex(np.vdot(u0, u1) / np.vdot(u0, u0))
+    return complex(measured_mode_multipliers(spec, [m], [k], vdisc, grid, dt)[0])
 
 
 def expected_mode_multiplier(
@@ -480,8 +503,10 @@ def run_oracle_suite(
 ) -> list[OracleRow]:
     """Measured vs closed-form multipliers over every (m, k) pair.
 
-    The default Courant numbers (0.3 hyperbolic, 0.2 parabolic) keep every
-    implicit substep away from its resonance for the registry coefficients.
+    All n_x * n_v probes advance as one stack in a single production step;
+    each expected value is the scalar closed form. The default Courant
+    numbers (0.3 hyperbolic, 0.2 parabolic) keep every implicit substep away
+    from its resonance for the registry coefficients.
     """
     if n_x > 64 or n_v > 8:
         raise ValueError("oracle suite is a desk-scale check: N_x <= 64, N_v <= 8")
@@ -492,13 +517,18 @@ def run_oracle_suite(
     if cfl is None:
         cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
-    rows = []
-    for m in range(n_x):
-        for k in range(n_v):
-            measured = measured_mode_multiplier(spec, m, k, vdisc, grid, dt)
-            expected = expected_mode_multiplier(spec, m, k, vdisc, grid, dt)
-            rows.append(OracleRow(scheme_name, v_mode, m, k, measured, expected))
-    return rows
+    ms, ks = _mode_pairs(n_x, n_v)
+    measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
+    return [
+        OracleRow(scheme_name, v_mode, m, k, complex(g),
+                  expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+        for m, k, g in zip(ms.tolist(), ks.tolist(), measured)
+    ]
+
+
+def _mode_pairs(n_x: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (m, k) pair in (m, k) order, as two index arrays."""
+    return np.divmod(np.arange(n_x * n_v), n_v)
 
 
 def verify_report(
@@ -546,13 +576,10 @@ def parabolic_mode_equivalence(
     vdisc = build_vdisc(coefficient, v_mode, n_v)
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     dt = derive_dt("parabolic", cfl, n_x, vdisc, strict=False)
-    worst = 0.0
-    for m in range(n_x):
-        for k in range(n_v):
-            g_dtp = measured_mode_multiplier(spec_dtp, m, k, vdisc, grid, dt)
-            g_ptd = measured_mode_multiplier(spec_ptd, m, k, vdisc, grid, dt)
-            worst = max(worst, abs(g_dtp - g_ptd))
-    return worst
+    ms, ks = _mode_pairs(n_x, n_v)
+    g_dtp = measured_mode_multipliers(spec_dtp, ms, ks, vdisc, grid, dt)
+    g_ptd = measured_mode_multipliers(spec_ptd, ms, ks, vdisc, grid, dt)
+    return float(np.abs(g_dtp - g_ptd).max())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ mode probes can run through the production code path.
 
 Every implicit system, K, S, L or full-tensor, is solved in the eigenbases of
 both of its operators (``_implicit_solve``).
+
+Every stepper broadcasts over leading axes: a stack of states (X of shape
+(..., N_x, r), S (..., r, r), V (..., N_v, r), or dense slices (..., N_x, N_v))
+advances as one, with the per-state norms and the total retraction count in
+its report. A single state is the same code on plain matrices.
 """
 
 from __future__ import annotations
@@ -117,7 +122,9 @@ class SchemeSpec:
 
 @dataclass(frozen=True, eq=False)
 class LowRankState:
-    """Factored state X @ S @ V^H with orthonormal X and V columns."""
+    """Factored state X @ S @ V^H with orthonormal X and V columns, or a
+    stack of them along leading axes; ``ortho_residual`` is the largest
+    deviation over the stack."""
 
     X: np.ndarray
     S: np.ndarray
@@ -126,14 +133,15 @@ class LowRankState:
 
     def __post_init__(self):
         x, s, v = np.asarray(self.X), np.asarray(self.S), np.asarray(self.V)
-        if x.ndim != 2 or s.ndim != 2 or v.ndim != 2:
-            raise ValueError("state factors must be matrices")
-        r = s.shape[0]
-        if r < 1 or s.shape != (r, r) or x.shape[1] != r or v.shape[1] != r:
+        if not 2 <= x.ndim == s.ndim == v.ndim:
+            raise ValueError("state factors must be matrices or equal stacks of them")
+        r = s.shape[-1]
+        if (r < 1 or s.shape[-2:] != (r, r) or x.shape[-1] != r or v.shape[-1] != r
+                or not x.shape[:-2] == s.shape[:-2] == v.shape[:-2]):
             raise ValueError(
                 f"inconsistent factor shapes {x.shape}, {s.shape}, {v.shape}"
             )
-        if x.shape[0] < r or v.shape[0] < r:
+        if x.shape[-2] < r or v.shape[-2] < r:
             raise ValueError("rank exceeds a factor dimension")
         devs = [_gram_deviation(f) for f in (x, v)]
         # A non-finite X or V makes its deviation inf or nan, so the full
@@ -151,28 +159,35 @@ class LowRankState:
 
     @property
     def rank(self) -> int:
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
 
 def _gram_deviation(f: np.ndarray) -> float:
-    """Frobenius norm of F^H F - I, formed in at least double precision."""
-    gram = np.asarray(f.conj().T @ f, dtype=np.result_type(f, np.float64))
+    """Frobenius norm of F^H F - I, formed in at least double precision; the
+    largest over a stack."""
+    gram = np.asarray(f.conj().mT @ f, dtype=np.result_type(f, np.float64))
+    if gram.ndim > 2:
+        return float(frobenius_norm(gram - np.identity(gram.shape[-1])).max())
     gram.ravel()[:: gram.shape[0] + 1] -= 1.0
     return frobenius_norm(gram)
 
 
 @dataclass(frozen=True)
 class StepReport:
-    """One accepted step: new state plus norm and retraction diagnostics."""
+    """One accepted step: new state plus norm and retraction diagnostics.
+
+    For a stack of states the norms are arrays over the stack and
+    ``qr_rank_events`` is the stack's total.
+    """
 
     state_after: object
-    frobenius_before: float
-    frobenius_after: float
+    frobenius_before: float | np.ndarray
+    frobenius_after: float | np.ndarray
     qr_rank_events: int = 0
 
 
 def reconstruct(state: LowRankState) -> np.ndarray:
-    return state.X @ state.S @ state.V.conj().T
+    return state.X @ state.S @ state.V.conj().mT
 
 
 def orthonormality_residual(state: LowRankState) -> float:
@@ -241,10 +256,11 @@ def _projected_symmetric(v, mat) -> np.ndarray:
     Complex bases only occur as rank-1 mode probes, where the projection is
     real up to roundoff; anything genuinely complex is rejected.
     """
-    b = v.conj().T @ (mat @ v)
-    b = 0.5 * (b + b.conj().T)
+    b = v.conj().mT @ (mat @ v)
+    b = 0.5 * (b + b.conj().mT)
     if np.iscomplexobj(b):
-        if np.linalg.norm(b.imag) > 1e-10 * (np.linalg.norm(b.real) + 1.0):
+        imag, real = frobenius_norm(b.imag), frobenius_norm(b.real)
+        if np.any(imag > 1e-10 * (real + 1.0)):
             raise ValueError("projected coefficient matrix is not real")
         b = np.ascontiguousarray(b.real)
     return b
@@ -283,14 +299,14 @@ def _implicit_solve(rhs, left: Diagonalization, right, scale: float):
     """
     if scale == 0.0:
         return rhs  # the identity; skipping the transforms keeps it exact
-    x = scale * np.outer(left.eigenvalues, right.eigenvalues)
+    x = scale * (left.eigenvalues[..., :, None] * right.eigenvalues[..., None, :])
     symbol = 1.0 - x
     require_nonsingular("implicit system", symbol, 1.0 + np.abs(x))
     rot = right.eigenvectors
     out = left.inverse(left.forward(rhs @ rot) / symbol)
     if left.real and not np.iscomplexobj(rhs):
         out = out.real
-    return out @ rot.T
+    return out @ rot.mT
 
 
 def _implicit_columns(rhs, op, dec, scale: float):
@@ -342,17 +358,17 @@ class _XBasis:
 
     @cached_property
     def calpha(self) -> np.ndarray:
-        return self.x.conj().T @ self.grid.alpha(self.x)
+        return self.x.conj().mT @ self.grid.alpha(self.x)
 
     @cached_property
     def cbeta(self) -> np.ndarray:
-        return self.x.conj().T @ self.grid.beta(self.x)
+        return self.x.conj().mT @ self.grid.beta(self.x)
 
     @cached_property
     def cbeta_eig(self) -> Diagonalization:
         # eigh, not sym_eig: mode probes make X^H beta X complex Hermitian.
         vals, vecs = np.linalg.eigh(self.cbeta)
-        forward, inverse = (lambda u: vecs.conj().T @ u), (lambda z: vecs @ z)
+        forward, inverse = (lambda u: vecs.conj().mT @ u), (lambda z: vecs @ z)
         return Diagonalization(vals, forward, inverse, real=np.isrealobj(vecs))
 
 
@@ -366,7 +382,7 @@ def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     """
     g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
     if approach == "dtp":
-        vh, xh = v.conj().T, x.conj().T
+        vh, xh = v.conj().mT, x.conj().mT
         if factor == "K":
             return lambda k: _flux_hyperbolic(k @ vh, vd, g) @ v
         if factor == "S":
@@ -389,14 +405,14 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
     if factor == "K":
         if approach == "dtp":
-            vh = v.conj().T
+            vh = v.conj().mT
             return lambda k: g.beta(k @ vh) @ vd.coeff @ v
         atil = vb.atil
         return lambda k: g.beta(k @ atil)
-    xh = x.conj().T
+    xh = x.conj().mT
     if factor == "S":
         if approach == "dtp":
-            vh = v.conj().T
+            vh = v.conj().mT
             return lambda s: -(xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v)
         cbeta, atil = xb.cbeta, vb.atil
         return lambda s: -(cbeta @ (s @ atil))
@@ -447,9 +463,9 @@ def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> 
         elif factor == "S":
             s, ev = _advance(spec, "S", xb, vb, s, h), 0
         else:
-            low = _advance(spec, "L", xb, vb, s @ vb.v.conj().T, h)
-            v, rl, ev = qr_thin_counted(low.conj().T)
-            vb, s = _VBasis(v, vdisc), rl.conj().T
+            low = _advance(spec, "L", xb, vb, s @ vb.v.conj().mT, h)
+            v, rl, ev = qr_thin_counted(low.conj().mT)
+            vb, s = _VBasis(v, vdisc), rl.conj().mT
         events += ev
     new = LowRankState(X=xb.x, S=s, V=vb.v)
     return StepReport(new, before, frobenius_norm(s), events)
@@ -469,7 +485,8 @@ def step(
     """Advance one step of the scheme described by ``spec``.
 
     ``current`` is a dense matrix for the full-tensor approach and a
-    LowRankState otherwise; the report mirrors that type.
+    LowRankState otherwise, either of them possibly a stack along leading
+    axes; the report mirrors that type.
     """
     if dt == 0.0:
         # a zero step is the identity; skipping the retractions keeps it exact

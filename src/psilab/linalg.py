@@ -77,8 +77,10 @@ class SpectralDecomposition:
 @dataclass(frozen=True)
 class Diagonalization:
     """Hermitian B = W diag(eigenvalues) W^H: ``forward`` maps u to W^H u and
-    ``inverse`` z to W z along axis 0, so a fast transform can stand in for
-    W. ``real`` marks a real B, whose real functions keep real data real."""
+    ``inverse`` z to W z along the row axis (-2), so a fast transform can
+    stand in for W. ``real`` marks a real B, whose real functions keep real
+    data real. For a stack of operators, the leading axes of ``eigenvalues``
+    index the stack."""
 
     eigenvalues: np.ndarray
     forward: Callable[[np.ndarray], np.ndarray]
@@ -91,35 +93,68 @@ def require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def frobenius_norm(mat) -> float:
-    """Frobenius norm of a matrix (2-norm of a vector)."""
-    return float(np.linalg.norm(np.asarray(mat)))
+def frobenius_norm(mat) -> float | np.ndarray:
+    """Frobenius norm of a matrix (2-norm of a vector); for a stack of
+    matrices, the array of per-matrix norms over its leading axes."""
+    a = np.asarray(mat)
+    if a.ndim > 2:
+        return np.linalg.norm(a, axis=(-2, -1))
+    return float(np.linalg.norm(a))
 
 
 def _as_matrix(mat, name: str) -> np.ndarray:
     a = np.asarray(mat)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     return a.astype(dtype, copy=False)
 
 
 def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK Householder QR: the thin Q, and R with reflector data below
-    its diagonal."""
+    """LAPACK Householder QR of a matrix, or of each matrix of a stack: the
+    thin Q, and R with reflector data below its diagonal."""
     geqrf, orgqr = _QR_ROUTINES[a.dtype]
-    m, n = a.shape
+    m, n = a.shape[-2:]
     # A C-order copy of A^T is A in LAPACK's column-major order.
-    buf = a.T.copy()
-    tau = np.empty(n, a.dtype)
+    buf = a.mT.copy()
+    tau = np.empty(buf.shape[:-1], a.dtype)
     lwork = max(1, 64 * n)
     work = np.empty(lwork, a.dtype)
-    if geqrf(m, n, buf, m, tau, work, lwork, 0)["info"]:
-        raise np.linalg.LinAlgError("geqrf failed")
-    packed = buf[:, :n].T.copy(order="F")  # orgqr overwrites buf
-    if orgqr(m, n, n, buf, m, tau, work, lwork, 0)["info"]:
-        raise np.linalg.LinAlgError("orgqr failed")
-    return buf.T, packed
+    slices = [(buf, tau)] if a.ndim == 2 else list(zip(buf.reshape(-1, n, m), tau.reshape(-1, n)))
+    for b, t in slices:
+        if geqrf(m, n, b, m, t, work, lwork, 0)["info"]:
+            raise np.linalg.LinAlgError("geqrf failed")
+    packed = buf[..., :n].mT.copy(order="K")  # column-major; orgqr overwrites buf
+    for b, t in slices:
+        if orgqr(m, n, n, b, m, t, work, lwork, 0)["info"]:
+            raise np.linalg.LinAlgError("orgqr failed")
+    return buf.mT, packed
+
+
+def _complete_rank(
+    a: np.ndarray, q: np.ndarray, rfac: np.ndarray, scale: float, j: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Rank completion of one matrix with Frobenius norm ``scale`` (see
+    ``qr_thin_counted``), starting from its LAPACK factors and its first
+    dependent column j: the final Q and packed R, and the replaced
+    columns."""
+    completed: list[int] = []
+    while True:
+        # 1 - |Q[i, :j]|^2 is the squared residual of e_i outside the span;
+        # weighting it by |A| keeps roundoff in P a_j from swamping it.
+        span = q[:, :j]
+        i = int(np.argmax(1.0 - np.sum(np.abs(span) ** 2, axis=1)))
+        weight = scale if scale > 0 else 1.0
+        col = span @ (rfac[:j, j] - weight * span[i].conj())
+        col[i] += weight
+        a = a.copy()
+        a[:, j] = col
+        completed.append(j)
+        q, rfac = _lapack_qr(a)
+        dependent = np.abs(rfac.diagonal()[j + 1:]) <= RANK_TOL * scale
+        if not dependent.any():
+            return q, rfac, completed
+        j += 1 + int(dependent.argmax())
 
 
 def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
@@ -137,53 +172,56 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     the input up to their dropped sub-tolerance residuals. A diagonal phase
     rotation makes diag(R) real and nonnegative, which fixes the gauge of Q
     deterministically (for real input, sign flips).
+
+    A stack of matrices (leading axes) is factored by LAPACK one matrix at a
+    time; the dependence test and the gauge act on the whole stack, only the
+    flagged matrices are completed, and the count is the stack's total.
     """
     a = _as_matrix(mat, "qr_thin input")
-    n, r = a.shape
+    n, r = a.shape[-2:]
     if n < r:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {n}x{r}")
-    scale = np.linalg.norm(a)
-    if not 1e-100 <= scale <= 1e100:
+    stack = a.ndim > 2
+    scale = frobenius_norm(a)  # one per matrix of a stack
+    in_range = (1e-100 <= scale) & (scale <= 1e100)
+    if not (in_range.all() if stack else in_range):
         # LAPACK scales its reflectors safely, but the Frobenius norm in the
         # rank tolerance squares the entries; rescale so it stays in range.
-        peak = float(np.abs(a).max(initial=0.0))
-        if 0.0 < peak < np.inf:
+        peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
+        fix = np.logical_not(in_range) & (0.0 < peak) & (peak < np.inf)
+        if fix.any():
+            peak = np.where(fix, peak, 1.0)[..., None, None]
             # Divide as reals: numpy's complex division multiplies by
             # 1 / peak, which overflows for a subnormal peak.
             scaled = (np.ascontiguousarray(a).view(np.float64) / peak).view(a.dtype)
             q, rfac, events = qr_thin_counted(scaled)
             return q, rfac * peak, events
     q, rfac = _lapack_qr(a)
-    completed: list[int] = []
-    while True:
-        start = completed[-1] + 1 if completed else 0
-        dependent = np.abs(rfac.diagonal()[start:]) <= RANK_TOL * scale
-        if not dependent.any():
-            break
-        j = start + int(dependent.argmax())
-        # 1 - |Q[i, :j]|^2 is the squared residual of e_i outside the span;
-        # weighting it by |A| keeps roundoff in P a_j from swamping it.
-        span = q[:, :j]
-        i = int(np.argmax(1.0 - np.sum(np.abs(span) ** 2, axis=1)))
-        weight = scale if scale > 0 else 1.0
-        col = span @ (rfac[:j, j] - weight * span[i].conj())
-        col[i] += weight
-        a = a.copy()
-        a[:, j] = col
-        completed.append(j)
-        q, rfac = _lapack_qr(a)
-
-    diag = rfac.diagonal()
+    diag = rfac.diagonal(0, -2, -1)  # a view: follows the completions below
     mag = np.abs(diag)
+    dependent = mag <= RANK_TOL * (scale[..., None] if stack else scale)
+    completed = []  # (index of the matrix in the stack..., its replaced columns)
+    events = 0
+    if dependent.any():
+        for idx in map(tuple, np.argwhere(dependent.any(axis=-1))) if stack else [()]:
+            # The matrix's own 2-D norm, as a call on it alone would use.
+            own = frobenius_norm(a[idx]) if stack else scale
+            first = int(dependent[idx].argmax())
+            q[idx], rfac[idx], cols = _complete_rank(a[idx], q[idx], rfac[idx], own, first)
+            completed.append(idx + (cols,))
+            events += len(cols)
+        mag = np.abs(diag)
     phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
-    q *= phase
-    rfac = phase.conj()[:, None] * rfac
-    for k in range(1, r):
-        rfac[k, :k] = 0.0  # reflector data
+    q *= phase[..., None, :]
+    rfac = phase.conj()[..., :, None] * rfac
     # A replaced column contributes only its sub-RANK_TOL residual here.
-    mag[completed] = 0.0
-    np.fill_diagonal(rfac, mag)
-    return q, rfac, len(completed)
+    for replaced in completed:
+        mag[replaced] = 0.0
+    for k in range(1, r):
+        rfac[..., k, :k] = 0.0  # reflector data
+    diagonal = np.arange(r)
+    rfac[..., diagonal, diagonal] = mag
+    return q, rfac, events
 
 
 def qr_thin(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -198,30 +236,35 @@ def qr_thin(mat) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym_eig(mat) -> SpectralDecomposition:
-    """Eigendecomposition of a real symmetric matrix.
+    """Eigendecomposition of a real symmetric matrix, or of each matrix in a
+    stack (leading axes).
 
     The input is symmetrized first, so symmetric-up-to-roundoff matrices are
     accepted. Eigenvalues come back in descending order; each eigenvector is
     oriented so its largest-magnitude entry is positive.
     """
     a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"sym_eig needs a square matrix, got shape {a.shape}")
-    sym = 0.5 * (a + a.T)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"sym_eig needs a square matrix or a stack of them, got shape {a.shape}")
+    sym = 0.5 * (a + a.mT)
     vals, vecs = np.linalg.eigh(sym)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1]
-    lead = np.abs(vecs).argmax(axis=0)
-    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
-    vecs = np.where(flip, -vecs, vecs)
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1]
+    lead = np.abs(vecs).argmax(axis=-2, keepdims=True)
+    if vecs.ndim == 2:  # plain fancy indexing is the cheaper gather here
+        top = vecs[lead[0], np.arange(vecs.shape[1])]
+    else:
+        top = np.take_along_axis(vecs, lead, axis=-2)
+    vecs = np.where(top < 0, -vecs, vecs)
     return SpectralDecomposition(eigenvectors=vecs, eigenvalues=vals)
 
 
 def matrix_abs(mat) -> np.ndarray:
-    """Spectral absolute value |A| = R |Lambda| R^T of a symmetric matrix."""
+    """Spectral absolute value |A| = R |Lambda| R^T of a symmetric matrix,
+    or of each matrix in a stack."""
     dec = sym_eig(mat)
-    out = (dec.eigenvectors * np.abs(dec.eigenvalues)) @ dec.eigenvectors.T
-    return 0.5 * (out + out.T)
+    out = (dec.eigenvectors * np.abs(dec.eigenvalues)[..., None, :]) @ dec.eigenvectors.mT
+    return 0.5 * (out + out.mT)
 
 
 def require_nonsingular(what: str, pivots, reference) -> None:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psilab.discretize import build_xgrid
+from psilab.discretize import build_xgrid, fourier_mode
 from psilab.harness import (
     VERIFY_SCHEMES,
     build_vdisc,
+    complex_mode_probes,
     complex_mode_state,
+    derive_dt,
     expected_mode_multiplier,
     measured_mode_multiplier,
     parabolic_mode_equivalence,
@@ -118,6 +120,93 @@ def test_complex_mode_state_is_unit_rank_one():
     assert np.linalg.matrix_rank(dense) == 1
 
 
+@pytest.mark.parametrize("n_x", [3, 16, 63, 64])
+def test_mode_probes_are_bitwise_the_fourier_probes(n_x):
+    """Each stacked probe, and a stack of one, is x_m = fourier_mode(m) /
+    sqrt(N_x) against v_k with S = sqrt(N_x), bit for bit."""
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    vdisc = build_vdisc("linear", "modal", 3)
+    ms, ks = np.divmod(np.arange(n_x * 3), 3)
+    probes = complex_mode_probes(ms, ks, vdisc, grid)
+    assert probes.X.shape == (n_x * 3, n_x, 1) and probes.S.shape == (n_x * 3, 1, 1)
+    for i, (m, k) in enumerate(zip(ms.tolist(), ks.tolist())):
+        x = (fourier_mode(m, n_x) / np.sqrt(n_x)).reshape(-1, 1)
+        v = vdisc.spectrum.eigenvectors[:, k].astype(np.complex128).reshape(-1, 1)
+        single = complex_mode_state(m, k, vdisc, grid)
+        for state in (single, LowRankState(X=probes.X[i], S=probes.S[i], V=probes.V[i])):
+            assert state.X.tobytes() == x.tobytes()
+            assert state.V.tobytes() == v.tobytes()
+            assert state.S.tobytes() == np.array([[np.sqrt(n_x)]], dtype=complex).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        complex_mode_probes([0, n_x], [0, 0], vdisc, grid)
+
+
+def _dense_after(spec, report):
+    after = report.state_after
+    return np.asarray(after) if spec.approach == "full_tensor" else reconstruct(after)
+
+
+def _assert_slices_close(stacked, singles, rtol=1e-14):
+    """Each slice of ``stacked`` within rtol of ``singles``, relative to the
+    slice's Frobenius norm."""
+    gaps = frobenius_norm(stacked - singles)
+    assert (gaps <= rtol * frobenius_norm(singles)).all(), gaps.max()
+
+
+@pytest.mark.parametrize("v_mode", ["nodal", "modal"])
+@pytest.mark.parametrize("name", VERIFY_SCHEMES)
+def test_stacked_probes_step_like_single_probes(name, v_mode):
+    """One step on the stack of every (m, k) probe equals the stack of the
+    single-probe steps, the norms and retraction count included."""
+    spec = parse_scheme_name(name).spec
+    vdisc = build_vdisc("linear", v_mode, _NV)
+    cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
+    dt = derive_dt(spec.equation, cfl, _NX, vdisc, strict=False)
+    full = spec.approach == "full_tensor"
+    ms, ks = np.divmod(np.arange(_NX * _NV), _NV)
+    probes = complex_mode_probes(ms, ks, vdisc, _GRID)
+    report = step(spec, reconstruct(probes) if full else probes, vdisc, _GRID, dt)
+    singles = []
+    for m, k in zip(ms.tolist(), ks.tolist()):
+        state = complex_mode_state(m, k, vdisc, _GRID)
+        singles.append(step(spec, reconstruct(state) if full else state, vdisc, _GRID, dt))
+    _assert_slices_close(_dense_after(spec, report),
+                         np.stack([_dense_after(spec, r) for r in singles]))
+    for field in ("frobenius_before", "frobenius_after"):
+        np.testing.assert_allclose(getattr(report, field),
+                                   [getattr(r, field) for r in singles], rtol=1e-14)
+    assert type(report.qr_rank_events) is int
+    assert report.qr_rank_events == sum(r.qr_rank_events for r in singles)
+
+
+def _state_stack(count=3, rank=2, seed=4):
+    """Factors of ``count`` random rank-``rank`` states stacked on axis 0."""
+    rng = np.random.default_rng(seed)
+    states = [init_lowrank(rng.standard_normal((_NX, _NV)), rank) for _ in range(count)]
+    return {f: np.stack([getattr(st, f) for st in states]) for f in "XSV"}
+
+
+@pytest.mark.parametrize(
+    "name", ["hyp-dtp-lie-fe", "hyp-ptd-strang-rk2", "par-dtp-lie-theta1", "par-strang-cn"]
+)
+def test_stacked_step_sums_rank_events(name):
+    """A zero core makes every K and L retraction complete each column; the
+    stack reports the total of its states' events as an int."""
+    spec = parse_scheme_name(name).spec
+    vdisc = _vdisc_for(name)
+    factors = _state_stack()
+    factors["S"][1] = 0.0
+    dt = 0.01 if spec.equation == "hyperbolic" else 1e-4
+    report = step(spec, LowRankState(**factors), vdisc, _GRID, dt)
+    singles = [step(spec, LowRankState(X=x, S=s, V=v), vdisc, _GRID, dt)
+               for x, s, v in zip(factors["X"], factors["S"], factors["V"])]
+    assert type(report.qr_rank_events) is int
+    assert [r.qr_rank_events > 0 for r in singles] == [False, True, False]
+    assert report.qr_rank_events == sum(r.qr_rank_events for r in singles)
+    _assert_slices_close(reconstruct(report.state_after),
+                         np.stack([reconstruct(r.state_after) for r in singles]))
+
+
 _COEFFICIENTS = st.one_of(
     st.sampled_from(["linear", "abs", "square"]),
     st.floats(min_value=0.05, max_value=4.0).map(lambda c: f"const:{c!r}"),
@@ -127,7 +216,7 @@ _COEFFICIENTS = st.one_of(
 @st.composite
 def _oracle_problems(draw):
     name = draw(st.sampled_from(VERIFY_SCHEMES))
-    n_x = draw(st.integers(min_value=3, max_value=32))
+    n_x = draw(st.integers(min_value=3, max_value=64))
     n_v = draw(st.integers(min_value=1, max_value=8))
     coefficient = draw(_COEFFICIENTS)
     v_mode = draw(st.sampled_from(["nodal", "modal"]))
@@ -295,6 +384,36 @@ def test_state_rejects_non_finite_factors(factor):
     factors[factor][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match=f"factor {factor}"):
         LowRankState(**factors)
+
+
+@pytest.mark.parametrize("factor", ["X", "S", "V"])
+def test_state_stack_names_a_non_finite_slice(factor):
+    factors = _state_stack()
+    factors[factor][1, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=f"factor {factor}"):
+        LowRankState(**factors)
+
+
+@pytest.mark.parametrize("factor", ["X", "V"])
+def test_state_stack_rejects_a_non_orthonormal_slice(factor):
+    factors = _state_stack()
+    factors[factor][2] *= 1.001
+    with pytest.raises(ValueError, match=f"factor {factor} is not orthonormal"):
+        LowRankState(**factors)
+
+
+def test_state_stack_ortho_residual_is_the_stack_maximum():
+    factors = _state_stack()
+    factors["V"][1] *= 1.0 + 1e-10  # within tolerance, and the largest deviation
+    slices = [LowRankState(X=x, S=s, V=v)
+              for x, s, v in zip(factors["X"], factors["S"], factors["V"])]
+    stack = LowRankState(**factors)
+    assert stack.rank == 2
+    assert stack.ortho_residual == pytest.approx(max(st.ortho_residual for st in slices),
+                                                 rel=1e-12)
+    assert stack.ortho_residual == pytest.approx(slices[1].ortho_residual, rel=1e-12)
+    with pytest.raises(ValueError, match="inconsistent factor shapes"):
+        LowRankState(X=factors["X"], S=factors["S"][:2], V=factors["V"])
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

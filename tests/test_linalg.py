@@ -306,3 +306,54 @@ def test_lapack_qr_bitwise_matches_numpy_qr(shape, kind):
     assert q.tobytes() == q_ref.tobytes()
     assert np.triu(packed).tobytes() == r_ref.tobytes()
     assert mat.tobytes() == before.tobytes()  # the input is not overwritten
+
+
+def _stack_with_dependent_slice(dtype, shape=(3, 2), rows=6, cols=3, seed=0):
+    """A stack of random matrices; slice (1, 0) repeats a column, and slice
+    (2, 1) sits far below unit scale."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal(shape + (rows, cols))
+    if dtype == np.complex128:
+        stack = stack + 1j * rng.standard_normal(shape + (rows, cols))
+    stack[1, 0, :, 2] = stack[1, 0, :, 0]
+    stack[2, 1] *= 1e-150
+    return stack
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_qr_on_a_stack_matches_each_slice(dtype):
+    stack = _stack_with_dependent_slice(dtype)
+    before = stack.copy()
+    q, r, events = qr_thin_counted(stack)
+    assert type(events) is int
+    total = 0
+    for idx in np.ndindex(stack.shape[:-2]):
+        q_i, r_i, ev_i = qr_thin_counted(stack[idx])
+        assert q[idx].tobytes() == q_i.tobytes()
+        assert r[idx].tobytes() == r_i.tobytes()
+        total += ev_i
+    assert total == events == 1
+    assert r[1, 0, 2, 2] == 0
+    assert stack.tobytes() == before.tobytes()  # the input is not overwritten
+
+
+def test_sym_eig_and_matrix_abs_on_a_stack_match_each_slice():
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal((2, 3, 5, 5))
+    stack = raw + raw.mT
+    stack[0, 1] = np.eye(5)  # repeated eigenvalues: orientation ties
+    dec = sym_eig(stack)
+    absolute = matrix_abs(stack)
+    for idx in np.ndindex(stack.shape[:-2]):
+        dec_i = sym_eig(stack[idx])
+        assert dec.eigenvalues[idx].tobytes() == dec_i.eigenvalues.tobytes()
+        assert dec.eigenvectors[idx].tobytes() == dec_i.eigenvectors.tobytes()
+        assert absolute[idx].tobytes() == matrix_abs(stack[idx]).tobytes()
+
+
+def test_frobenius_norm_of_a_stack_is_per_matrix():
+    stack = np.random.default_rng(2).standard_normal((4, 3, 2))
+    norms = frobenius_norm(stack)
+    assert norms.shape == (4,)
+    np.testing.assert_allclose(norms, [frobenius_norm(m) for m in stack], rtol=1e-15)
+    assert isinstance(frobenius_norm(stack[0]), float)
