@@ -12,6 +12,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -382,13 +383,22 @@ VERIFY_SCHEMES: tuple[str, ...] = (
 # problem assembly
 
 
+@lru_cache(maxsize=64)
 def build_vdisc(coefficient: str, v_mode: str, n_v: int) -> VDiscretization:
+    """Velocity operator of a registry coefficient, built once per
+    (coefficient, v_mode, n_v) and shared between callers, so its arrays
+    are read-only."""
     coeff_fn = coefficient_from_name(coefficient)
     if v_mode == "nodal":
-        return build_nodal(coeff_fn, gauss_legendre_points(n_v))
-    if v_mode == "modal":
-        return build_modal(coeff_fn, n_v)
-    raise ValueError(f"v_mode must be nodal or modal, got '{v_mode}'")
+        vdisc = build_nodal(coeff_fn, gauss_legendre_points(n_v))
+    elif v_mode == "modal":
+        vdisc = build_modal(coeff_fn, n_v)
+    else:
+        raise ValueError(f"v_mode must be nodal or modal, got '{v_mode}'")
+    spectrum = vdisc.spectrum
+    for arr in (vdisc.coeff, vdisc.coeff_abs, spectrum.eigenvalues, spectrum.eigenvectors):
+        arr.flags.writeable = False
+    return vdisc
 
 
 def derive_dt(

@@ -5,12 +5,16 @@ projector-splitting integrator (PSI) on a factored state X @ S @ V^H with QR
 retractions after the K and L substeps. The two low-rank formulations differ
 in where the discretization happens:
 
-* dtp ("discretize then project"): each substep applies the full-tensor
-  right-hand side to the reconstructed slice and projects the result back
-  onto the factors.
+* dtp ("discretize then project"): each substep is the full-tensor
+  right-hand side on the reconstructed slice, projected back onto the
+  factors. The x-stencils act on X and the velocity operators on V, so the
+  advection substeps run on X against the projected r x r coefficients
+  V^H A V and V^H |A| V and never form an N_x x N_v slice; the diffusion
+  substeps keep the slice form.
 * ptd ("project then discretize"): each substep integrates the reduced
-  equations built from projected coefficient matrices; in particular the
-  upwind dissipation uses |V^T A V| rather than the projected |A|.
+  equations built from projected coefficient matrices. In advection this is
+  dtp with one difference: the upwind dissipation uses |V^T A V| rather
+  than the projected |A|, so only K is upwinded and S and L are central.
 
 Both are exact on rank-1 Fourier modes, which is what the amplification
 module's closed forms describe; steppers accept complex states so those
@@ -239,12 +243,6 @@ def init_lowrank(u0, rank: int) -> LowRankState:
 # right-hand sides
 
 
-def _flux_hyperbolic(u, vdisc: VDiscretization, grid: XGrid):
-    """Upwind semi-discrete right-hand side on a dense slice."""
-    c = 1.0 / (2.0 * grid.dx)
-    return c * (grid.beta(u) @ vdisc.coeff_abs - grid.alpha(u) @ vdisc.coeff)
-
-
 def _diffusion(u, vdisc: VDiscretization, grid: XGrid):
     """Central second-difference right-hand side on a dense slice."""
     return (grid.beta(u) @ vdisc.coeff) / grid.dx**2
@@ -278,7 +276,8 @@ def _ssp_rk2(y, rhs, dt: float):
 
 def full_step_hyperbolic(u, vdisc: VDiscretization, grid: XGrid, dt: float):
     """Forward Euler step of the upwind full-tensor scheme."""
-    return u + dt * _flux_hyperbolic(u, vdisc, grid)
+    c = 1.0 / (2.0 * grid.dx)
+    return u + dt * (c * (grid.beta(u) @ vdisc.coeff_abs - grid.alpha(u) @ vdisc.coeff))
 
 
 def full_step_parabolic(u, vdisc: VDiscretization, grid: XGrid, dt: float, theta: float):
@@ -330,11 +329,20 @@ _SEQUENCES = {
 
 
 class _VBasis:
-    """A V factor with V^T A V, |V^T A V| and its eigendecomposition, each
-    built at most once."""
+    """A V factor with V^H A V and V^H |A| V as plain products (complex for
+    a general complex V), the real symmetric V^T A V, |V^T A V| and its
+    eigendecomposition, each built at most once."""
 
     def __init__(self, v: np.ndarray, vdisc: VDiscretization):
         self.v, self.vdisc = v, vdisc
+
+    @cached_property
+    def coeff(self) -> np.ndarray:
+        return self.v.conj().mT @ (self.vdisc.coeff @ self.v)
+
+    @cached_property
+    def coeff_abs(self) -> np.ndarray:
+        return self.v.conj().mT @ (self.vdisc.coeff_abs @ self.v)
 
     @cached_property
     def atil(self) -> np.ndarray:
@@ -373,26 +381,31 @@ class _XBasis:
 
 
 def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
-    """Right-hand side of one advection substep.
+    """Right-hand side of one advection substep, with c = 1/(2 dx).
 
-    dtp applies the full upwind flux to the reconstructed slice and projects
-    back; ptd upwinds the K substep with |V^T A V| and integrates the core
-    and L substeps with the central projected equations. The core substep
-    runs backward in time.
+    dtp is the upwind flux on the reconstructed slice projected back, written
+    on projected coefficients so the stencils only see N_x x r arrays:
+    K' = c (beta(K) V^H|A|V - alpha(K) V^H A V), and for S and L the
+    x-stencils enter as X^H alpha(X) and X^H beta(X) against S V^H A V,
+    S V^H|A|V, L A and L |A|. ptd differs in one place: K is upwinded with
+    |V^T A V| instead of V^H|A|V, and S and L carry no upwind term. The
+    core substep runs backward in time.
     """
-    g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
-    if approach == "dtp":
-        vh, xh = v.conj().mT, x.conj().mT
-        if factor == "K":
-            return lambda k: _flux_hyperbolic(k @ vh, vd, g) @ v
-        if factor == "S":
-            return lambda s: -(xh @ _flux_hyperbolic(x @ s @ vh, vd, g) @ v)
-        return lambda low: xh @ _flux_hyperbolic(x @ low, vd, g)
+    g, vd = xb.grid, vb.vdisc
     c = 1.0 / (2.0 * g.dx)
     if factor == "K":
-        atil, abs_atil = vb.atil, vb.abs_atil
-        return lambda k: c * (g.beta(k) @ abs_atil - g.alpha(k) @ atil)
+        if approach == "dtp":
+            coeff, upwind = vb.coeff, vb.coeff_abs
+        else:
+            coeff, upwind = vb.atil, vb.abs_atil
+        return lambda k: c * (g.beta(k) @ upwind - g.alpha(k) @ coeff)
     calpha = xb.calpha
+    if approach == "dtp":
+        cbeta = xb.cbeta
+        if factor == "S":
+            coeff, upwind = vb.coeff, vb.coeff_abs
+            return lambda s: c * (calpha @ s @ coeff - cbeta @ s @ upwind)
+        return lambda low: c * (cbeta @ low @ vd.coeff_abs - calpha @ low @ vd.coeff)
     if factor == "S":
         atil = vb.atil
         return lambda s: c * (calpha @ s @ atil)
@@ -401,7 +414,12 @@ def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
 
 def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     """Right-hand side of one diffusion substep, per unit dt/dx^2; the core
-    substep runs backward in time."""
+    substep runs backward in time.
+
+    dtp keeps the slice form on purpose: on projected coefficients it would
+    be ptd's code, and the per-mode dtp/ptd comparison would check one path
+    against itself.
+    """
     g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
     if factor == "K":
         if approach == "dtp":

@@ -619,6 +619,32 @@ def test_verify_names_first_worst_mode(monkeypatch):
     assert [line.split("= ")[-1] for line in lines] == ["3.000e-15 at (0, 1)"] * 2
 
 
+def test_verify_builds_each_velocity_operator_once(monkeypatch):
+    """verify's 32 suites share 2 velocity operators (nodal and modal), each
+    built once and handed out read-only."""
+    built = []
+
+    def counting(builder):
+        def wrapper(*args):
+            built.append(builder.__name__)
+            return builder(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "build_nodal", counting(harness.build_nodal))
+    monkeypatch.setattr(harness, "build_modal", counting(harness.build_modal))
+    build_vdisc.cache_clear()
+    try:
+        verify_report()
+        assert sorted(built) == ["build_modal", "build_nodal"]
+    finally:
+        build_vdisc.cache_clear()
+    vdisc = build_vdisc("linear", "modal", 4)
+    assert vdisc is build_vdisc("linear", "modal", 4)
+    for arr in (vdisc.coeff, vdisc.coeff_abs, vdisc.spectrum.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
 def _python(code: str, tmp_path) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this psilab tree."""
     src = os.path.dirname(os.path.dirname(psilab.__file__))

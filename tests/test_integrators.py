@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psilab.discretize import build_xgrid, fourier_mode
+import psilab.integrators as integrators
+from psilab.discretize import XGrid, build_xgrid, fourier_mode
 from psilab.harness import (
     VERIFY_SCHEMES,
     build_vdisc,
@@ -24,7 +25,9 @@ from psilab.integrators import (
     LowRankState,
     SchemeSpec,
     _implicit_columns,
+    _hyperbolic_field,
     _implicit_solve,
+    _VBasis,
     _XBasis,
     init_lowrank,
     orthonormality_residual,
@@ -497,3 +500,114 @@ def test_fourier_implicit_solve_reports_a_zero_symbol():
     with pytest.raises(SingularMatrixError) as err:
         _implicit_solve(rhs, grid.beta_eig, dec, 1.0)
     assert np.isfinite(err.value.pivot) and err.value.pivot <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# hyperbolic dtp on projected coefficients
+
+
+def _slice_flux(u, vdisc, grid):
+    """The upwind full-tensor flux of the dense slices u, with the dense
+    stencil matrices."""
+    c = 1.0 / (2.0 * grid.dx)
+    return c * (grid.m_beta @ u @ vdisc.coeff_abs - grid.m_alpha @ u @ vdisc.coeff)
+
+
+def _slice_dtp_field(factor, xb, vb):
+    """Reference dtp advection field: reconstruct the N_x x N_v slice, apply
+    the full flux, project back."""
+    g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
+    vh, xh = v.conj().mT, x.conj().mT
+    if factor == "K":
+        return lambda k: _slice_flux(k @ vh, vd, g) @ v
+    if factor == "S":
+        return lambda s: -(xh @ _slice_flux(x @ s @ vh, vd, g) @ v)
+    return lambda low: xh @ _slice_flux(x @ low, vd, g)
+
+
+def _random_frame(rng, shape, kind):
+    a = rng.standard_normal(shape)
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal(shape)
+    return np.linalg.qr(a)[0]
+
+
+def _random(rng, shape, kind):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if kind == "complex" else a
+
+
+_FIELD_GRIDS = {n_x: build_xgrid(n_x, 2.0 * np.pi / n_x) for n_x in (3, 4, 64, 1024)}
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("n_v", [1, 16])
+@pytest.mark.parametrize("n_x", [3, 4, 64, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_dtp_advection_field_is_the_projected_slice_flux(kind, n_x, n_v, lead):
+    """dtp's K, S and L fields on projected coefficients equal the slice
+    form c(beta(KV^H)|A| - alpha(KV^H)A)V, -X^H flux(X S V^H) V and
+    X^H flux(X L)."""
+    rng = np.random.default_rng(n_x * 100 + n_v)
+    grid, vdisc = _FIELD_GRIDS[n_x], build_vdisc("linear", "modal", n_v)
+    r = min(3, n_x, n_v)
+    xb = _XBasis(_random_frame(rng, (*lead, n_x, r), kind), grid)
+    vb = _VBasis(_random_frame(rng, (*lead, n_v, r), kind), vdisc)
+    inputs = {"K": (*lead, n_x, r), "S": (*lead, r, r), "L": (*lead, r, n_v)}
+    for factor, shape in inputs.items():
+        y = _random(rng, shape, kind)
+        got = _hyperbolic_field("dtp", factor, xb, vb)(y)
+        want = _slice_dtp_field(factor, xb, vb)(y)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), factor
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_dtp_advection_stencils_never_see_a_velocity_slice(monkeypatch, lead):
+    """A hyperbolic dtp step applies the x-stencils only to N_x x r arrays,
+    never to an N_x x N_v slice."""
+    n_x, n_v, r = 64, 16, 4
+    grid, vdisc = build_xgrid(n_x, 2.0 * np.pi / n_x), build_vdisc("linear", "nodal", n_v)
+    rng = np.random.default_rng(8)
+    state = LowRankState(X=_random_frame(rng, (*lead, n_x, r), "real"),
+                         S=rng.standard_normal((*lead, r, r)),
+                         V=_random_frame(rng, (*lead, n_v, r), "real"))
+    shapes = []
+
+    def recording(stencil):
+        def wrapper(self, u):
+            shapes.append(np.shape(u))
+            return stencil(self, u)
+        return wrapper
+
+    monkeypatch.setattr(XGrid, "alpha", recording(XGrid.alpha))
+    monkeypatch.setattr(XGrid, "beta", recording(XGrid.beta))
+    dt = derive_dt("hyperbolic", 0.3, n_x, vdisc)
+    for name in ("hyp-dtp-lie-fe", "hyp-dtp-strang-rk2"):
+        step(parse_scheme_name(name).spec, state, vdisc, grid, dt)
+    assert shapes and all(shape[-1] == r for shape in shapes), set(shapes)
+
+
+@pytest.mark.parametrize("name", ["hyp-dtp-lie-fe", "hyp-dtp-strang-rk2"])
+def test_dtp_advection_steps_a_general_complex_state(monkeypatch, name):
+    """A complex state whose V^H A V is genuinely complex steps, and the step
+    equals the slice-form step."""
+    n_x, n_v, r = 32, 8, 3
+    grid, vdisc = build_xgrid(n_x, 2.0 * np.pi / n_x), build_vdisc("linear", "modal", n_v)
+    rng = np.random.default_rng(21)
+    state = LowRankState(X=_random_frame(rng, (n_x, r), "complex"),
+                         S=_random(rng, (r, r), "complex"),
+                         V=_random_frame(rng, (n_v, r), "complex"))
+    projected = state.V.conj().T @ vdisc.coeff @ state.V
+    assert frobenius_norm(projected.imag) > 0.1 * frobenius_norm(projected.real)
+    spec = parse_scheme_name(name).spec
+    dt = derive_dt("hyperbolic", 0.3, n_x, vdisc)
+    got = reconstruct(step(spec, state, vdisc, grid, dt).state_after)
+
+    def slice_field(approach, factor, xb, vb):
+        assert approach == "dtp"
+        return _slice_dtp_field(factor, xb, vb)
+
+    monkeypatch.setattr(integrators, "_hyperbolic_field", slice_field)
+    want = reconstruct(step(spec, state, vdisc, grid, dt).state_after)
+    assert frobenius_norm(got - want) <= 1e-13 * frobenius_norm(want)
