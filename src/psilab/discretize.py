@@ -11,7 +11,7 @@ analysis runs on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -82,8 +82,9 @@ class XGrid:
     ``alpha`` applies the antisymmetric first difference (u_{j+1} - u_{j-1}),
     ``beta`` the symmetric second difference (u_{j-1} - 2 u_j + u_{j+1}),
     both with wraparound along the grid axis: the rows of a matrix or of each
-    matrix in a stack, the entries of a vector. Both are circulant: FFT mode
-    m is an eigenvector, and ``beta`` multiplies it by -``two_y``[m].
+    matrix in a stack, the entries of a vector; ``stencils`` gives both from
+    one padded copy. Both are circulant: FFT mode m is an eigenvector, and
+    ``beta`` multiplies it by -``two_y``[m].
     """
 
     n_x: int
@@ -91,16 +92,20 @@ class XGrid:
 
     def alpha(self, u) -> np.ndarray:
         u = np.asarray(u)
-        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
-        out = p[2:] - p[:-2]
+        out = _first_difference(_wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2)))
         return out if u.ndim < 3 else out.swapaxes(0, -2)
 
     def beta(self, u) -> np.ndarray:
         u = np.asarray(u)
-        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
-        out = p[2:] + p[:-2]
-        out -= 2.0 * p[1:-1]
+        out = _second_difference(_wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2)))
         return out if u.ndim < 3 else out.swapaxes(0, -2)
+
+    def stencils(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(``alpha``(u), ``beta``(u)) from one periodic pad."""
+        u = np.asarray(u)
+        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
+        outs = _first_difference(p), _second_difference(p)
+        return outs if u.ndim < 3 else tuple(out.swapaxes(0, -2) for out in outs)
 
     @cached_property
     def two_y(self) -> np.ndarray:
@@ -130,9 +135,33 @@ def _wrap_pad(u: np.ndarray) -> np.ndarray:
 
     Shifted slices of the padded copy apply a stencil at every row at once;
     at small n_x this beats both np.roll and writing the wraparound rows
-    separately, and at large n_x it matches them.
+    separately, and at large n_x it matches them. A matrix or vector is
+    copied by one gather of its rows, cheaper than concatenation at the
+    N_x x r sizes of a march. A stack's moved view is concatenated, which
+    keeps its stack-major layout, and with it the rounding of the BLAS
+    products that follow.
     """
+    if u.ndim < 3:
+        return u.take(_wrap_rows(u.shape[0]), axis=0)
     return np.concatenate((u[-1:], u, u[:1]))
+
+
+@lru_cache(maxsize=None)
+def _wrap_rows(n: int) -> np.ndarray:
+    """Row indices n - 1, 0, 1, ..., n - 1, 0 (read-only: shared)."""
+    rows = np.concatenate(([n - 1], np.arange(n), [0]))
+    rows.flags.writeable = False
+    return rows
+
+
+def _first_difference(p: np.ndarray) -> np.ndarray:
+    return p[2:] - p[:-2]
+
+
+def _second_difference(p: np.ndarray) -> np.ndarray:
+    out = p[2:] + p[:-2]
+    out -= 2.0 * p[1:-1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -826,17 +826,17 @@ def run_simulation(cfg: ExperimentConfig) -> list[RunRecord]:
         return RunRecord(index, norm, ortho, time.perf_counter() - start)
 
     records = [record(0, frobenius_norm(current if dense else state.S))]
-    for index in range(1, cfg.steps + 1):
-        try:
-            # Overflow raises at its first operation instead of seeding NaNs.
-            with np.errstate(over="raise", invalid="raise"):
+    # Overflow raises at its first operation instead of seeding NaNs.
+    with np.errstate(over="raise", invalid="raise"):
+        for index in range(1, cfg.steps + 1):
+            try:
                 report = step(cfg.scheme, current, vdisc, grid, dt)
-        except _NUMERICAL_FAILURES as exc:
-            raise NumericalError(index, str(exc)) from exc
-        if not np.isfinite(report.frobenius_after):
-            raise NumericalError(index, f"norm {report.frobenius_after} is not finite")
-        current = report.state_after
-        records.append(record(index, report.frobenius_after))
+            except _NUMERICAL_FAILURES as exc:
+                raise NumericalError(index, str(exc)) from exc
+            if not np.isfinite(report.frobenius_after):
+                raise NumericalError(index, f"norm {report.frobenius_after} is not finite")
+            current = report.state_after
+            records.append(record(index, report.frobenius_after))
     return records
 
 

@@ -32,7 +32,6 @@ its report. A single state is the same code on plain matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -128,12 +127,14 @@ class SchemeSpec:
 class LowRankState:
     """Factored state X @ S @ V^H with orthonormal X and V columns, or a
     stack of them along leading axes; ``ortho_residual`` is the largest
-    deviation over the stack."""
+    deviation over the stack. A state that ``step`` returns has read-only
+    factors and hands V's projected coefficients on to the next step."""
 
     X: np.ndarray
     S: np.ndarray
     V: np.ndarray
     ortho_residual: float = field(init=False, repr=False)  # set by the check below
+    _vbasis: object = field(default=None, init=False, repr=False)  # set by _psi_step
 
     def __post_init__(self):
         x, s, v = np.asarray(self.X), np.asarray(self.S), np.asarray(self.V)
@@ -180,12 +181,11 @@ def _gram_deviation(f: np.ndarray) -> float:
 class StepReport:
     """One accepted step: new state plus norm and retraction diagnostics.
 
-    For a stack of states the norms are arrays over the stack and
+    For a stack of states the norm is an array over the stack and
     ``qr_rank_events`` is the stack's total.
     """
 
     state_after: object
-    frobenius_before: float | np.ndarray
     frobenius_after: float | np.ndarray
     qr_rank_events: int = 0
 
@@ -277,7 +277,8 @@ def _ssp_rk2(y, rhs, dt: float):
 def full_step_hyperbolic(u, vdisc: VDiscretization, grid: XGrid, dt: float):
     """Forward Euler step of the upwind full-tensor scheme."""
     c = 1.0 / (2.0 * grid.dx)
-    return u + dt * (c * (grid.beta(u) @ vdisc.coeff_abs - grid.alpha(u) @ vdisc.coeff))
+    fa, fb = grid.stencils(u)
+    return u + dt * (c * (fb @ vdisc.coeff_abs - fa @ vdisc.coeff))
 
 
 def full_step_parabolic(u, vdisc: VDiscretization, grid: XGrid, dt: float, theta: float):
@@ -328,54 +329,69 @@ _SEQUENCES = {
 }
 
 
+class _lazy:
+    """A per-instance attribute computed on first access and then stored
+    in the instance, where it shadows this descriptor; unlike
+    ``functools.cached_property`` on Python < 3.12 it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _VBasis:
     """A V factor with V^H A V and V^H |A| V as plain products (complex for
     a general complex V), the real symmetric V^T A V, |V^T A V| and its
-    eigendecomposition, each built at most once."""
+    eigendecomposition, each built at most once. A step hands its final
+    V's basis on with the state it returns."""
 
     def __init__(self, v: np.ndarray, vdisc: VDiscretization):
         self.v, self.vdisc = v, vdisc
 
-    @cached_property
+    @_lazy
     def coeff(self) -> np.ndarray:
         return self.v.conj().mT @ (self.vdisc.coeff @ self.v)
 
-    @cached_property
+    @_lazy
     def coeff_abs(self) -> np.ndarray:
         return self.v.conj().mT @ (self.vdisc.coeff_abs @ self.v)
 
-    @cached_property
+    @_lazy
     def atil(self) -> np.ndarray:
         return _projected_symmetric(self.v, self.vdisc.coeff)
 
-    @cached_property
+    @_lazy
     def abs_atil(self) -> np.ndarray:
         return matrix_abs(self.atil)
 
-    @cached_property
+    @_lazy
     def tdec(self):
         return sym_eig(self.atil)
 
 
 class _XBasis:
-    """An X factor with X^H alpha(X), X^H beta(X) and the latter's
-    diagonalization, each built at most once."""
+    """An X factor with the projected stencils (X^H alpha(X), X^H beta(X)),
+    from one stencil pass, and the latter's diagonalization, each built at
+    most once."""
 
     def __init__(self, x: np.ndarray, grid: XGrid):
         self.x, self.grid = x, grid
 
-    @cached_property
-    def calpha(self) -> np.ndarray:
-        return self.x.conj().mT @ self.grid.alpha(self.x)
+    @_lazy
+    def cstencils(self) -> tuple[np.ndarray, np.ndarray]:
+        xh = self.x.conj().mT
+        fa, fb = self.grid.stencils(self.x)
+        return xh @ fa, xh @ fb
 
-    @cached_property
-    def cbeta(self) -> np.ndarray:
-        return self.x.conj().mT @ self.grid.beta(self.x)
-
-    @cached_property
+    @_lazy
     def cbeta_eig(self) -> Diagonalization:
         # eigh, not sym_eig: mode probes make X^H beta X complex Hermitian.
-        vals, vecs = np.linalg.eigh(self.cbeta)
+        vals, vecs = np.linalg.eigh(self.cstencils[1])
         forward, inverse = (lambda u: vecs.conj().mT @ u), (lambda z: vecs @ z)
         return Diagonalization(vals, forward, inverse, real=np.isrealobj(vecs))
 
@@ -398,10 +414,12 @@ def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
             coeff, upwind = vb.coeff, vb.coeff_abs
         else:
             coeff, upwind = vb.atil, vb.abs_atil
-        return lambda k: c * (g.beta(k) @ upwind - g.alpha(k) @ coeff)
-    calpha = xb.calpha
+        def flux(k):
+            fa, fb = g.stencils(k)
+            return c * (fb @ upwind - fa @ coeff)
+        return flux
+    calpha, cbeta = xb.cstencils
     if approach == "dtp":
-        cbeta = xb.cbeta
         if factor == "S":
             coeff, upwind = vb.coeff, vb.coeff_abs
             return lambda s: c * (calpha @ s @ coeff - cbeta @ s @ upwind)
@@ -432,11 +450,11 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
         if approach == "dtp":
             vh = v.conj().mT
             return lambda s: -(xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v)
-        cbeta, atil = xb.cbeta, vb.atil
+        cbeta, atil = xb.cstencils[1], vb.atil
         return lambda s: -(cbeta @ (s @ atil))
     if approach == "dtp":
         return lambda low: xh @ (g.beta(x @ low) @ vd.coeff)
-    cbeta = xb.cbeta
+    cbeta = xb.cstencils[1]
     return lambda low: cbeta @ (low @ vd.coeff)
 
 
@@ -468,10 +486,16 @@ def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: floa
 
 def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> StepReport:
     """One projector-splitting step: the splitting's substep sequence, with a
-    QR retraction after every K and L substep."""
-    # Orthonormal frames carry no norm: |X S V^H|_F = |S|_F.
-    before = frobenius_norm(state.S)
-    xb, vb, s = _XBasis(state.X, grid), _VBasis(state.V, vdisc), state.S
+    QR retraction after every K and L substep.
+
+    The returned state carries its V basis into the next step, which
+    reuses it for the same velocity operator; its factors are read-only, so
+    that basis cannot go stale.
+    """
+    vb = state._vbasis
+    if vb is None or vb.vdisc is not vdisc:
+        vb = _VBasis(state.V, vdisc)
+    xb, s = _XBasis(state.X, grid), state.S
     events = 0
     for factor, fraction in _SEQUENCES[spec.splitting]:
         h = fraction * dt
@@ -485,8 +509,12 @@ def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> 
             v, rl, ev = qr_thin_counted(low.conj().mT)
             vb, s = _VBasis(v, vdisc), rl.conj().mT
         events += ev
+    for f in (xb.x, s, vb.v):
+        f.flags.writeable = False
     new = LowRankState(X=xb.x, S=s, V=vb.v)
-    return StepReport(new, before, frobenius_norm(s), events)
+    object.__setattr__(new, "_vbasis", vb)
+    # Orthonormal frames carry no norm: |X S V^H|_F = |S|_F.
+    return StepReport(new, frobenius_norm(s), events)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +538,14 @@ def step(
         # a zero step is the identity; skipping the retractions keeps it exact
         full = spec.approach == "full_tensor"
         norm = frobenius_norm(np.asarray(current) if full else current.S)
-        return StepReport(current, norm, norm, 0)
+        return StepReport(current, norm, 0)
     if spec.approach == "full_tensor":
         u = np.asarray(current)
         if spec.equation == "hyperbolic":
             after = full_step_hyperbolic(u, vdisc, grid, dt)
         else:
             after = full_step_parabolic(u, vdisc, grid, dt, spec.theta_value)
-        return StepReport(after, frobenius_norm(u), frobenius_norm(after), 0)
+        return StepReport(after, frobenius_norm(after), 0)
     if not isinstance(current, LowRankState):
         raise TypeError("low-rank schemes need a LowRankState")
     return _psi_step(spec, current, vdisc, grid, dt)

@@ -16,8 +16,10 @@ matrix or a fast transform; each pivot or symbol is screened on its scale.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -95,10 +97,22 @@ def require_finite(name: str, arr: np.ndarray) -> None:
 
 def frobenius_norm(mat) -> float | np.ndarray:
     """Frobenius norm of a matrix (2-norm of a vector); for a stack of
-    matrices, the array of per-matrix norms over its leading axes."""
+    matrices, the array of per-matrix norms over its leading axes.
+
+    A float64 or complex128 matrix takes ``np.linalg.norm``'s own sum, the
+    dot of the entries in memory order, without its per-call dispatch; the
+    result is bitwise the same.
+    """
     a = np.asarray(mat)
     if a.ndim > 2:
         return np.linalg.norm(a, axis=(-2, -1))
+    if a.dtype == np.float64:
+        x = a.ravel(order="K")
+        return math.sqrt(x.dot(x))
+    if a.dtype == np.complex128:
+        x = a.ravel(order="K")
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(a))
 
 
@@ -106,8 +120,9 @@ def _as_matrix(mat, name: str) -> np.ndarray:
     a = np.asarray(mat)
     if a.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    return a.astype(dtype, copy=False)
+    if a.dtype in _QR_ROUTINES:
+        return a
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
 
 
 def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +144,15 @@ def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if orgqr(m, n, n, b, m, t, work, lwork, 0)["info"]:
             raise np.linalg.LinAlgError("orgqr failed")
     return buf.mT, packed
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(r: int) -> np.ndarray:
+    """Flat indices of the strictly upper triangle of a row-major r x r
+    matrix (read-only: every call shares them)."""
+    index = np.flatnonzero(np.triu(np.ones((r, r), dtype=bool), 1))
+    index.flags.writeable = False
+    return index
 
 
 def _complete_rank(
@@ -202,7 +226,7 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     dependent = mag <= RANK_TOL * (scale[..., None] if stack else scale)
     completed = []  # (index of the matrix in the stack..., its replaced columns)
     events = 0
-    if dependent.any():
+    if np.count_nonzero(dependent):
         for idx in map(tuple, np.argwhere(dependent.any(axis=-1))) if stack else [()]:
             # The matrix's own 2-D norm, as a call on it alone would use.
             own = frobenius_norm(a[idx]) if stack else scale
@@ -211,16 +235,22 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
             completed.append(idx + (cols,))
             events += len(cols)
         mag = np.abs(diag)
-    phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
+    if np.iscomplexobj(diag):
+        phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
+    else:
+        phase = np.where(diag < 0, -1.0, 1.0)
     q *= phase[..., None, :]
-    rfac = phase.conj()[..., :, None] * rfac
+    # R is column-major per matrix (see _lapack_qr), so R^T is C-order and
+    # its flat view per matrix takes the zeros and the diagonal as strided
+    # writes.
+    rt = rfac.mT
+    rt *= phase.conj()[..., None, :]
+    flat = rt.reshape(*rt.shape[:-2], r * r)
     # A replaced column contributes only its sub-RANK_TOL residual here.
     for replaced in completed:
         mag[replaced] = 0.0
-    for k in range(1, r):
-        rfac[..., k, :k] = 0.0  # reflector data
-    diagonal = np.arange(r)
-    rfac[..., diagonal, diagonal] = mag
+    flat[..., _strict_upper(r)] = 0.0  # reflector data, below R's diagonal
+    flat[..., :: r + 1] = mag
     return q, rfac, events
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psilab.discretize import (
+    _wrap_pad,
     build_modal,
     build_nodal,
     build_xgrid,
@@ -103,6 +104,34 @@ def test_shift_stencils_match_dense_matrices(n_x, cols, kind):
     np.testing.assert_allclose(grid.alpha(u), grid.m_alpha @ u, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(grid.beta(u), grid.m_beta @ u, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(grid.beta(u[:, 0]), grid.m_beta @ u[:, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 3), (2, 3, 5, 4)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_shared_pad_stencils_bitwise_match_each_stencil(shape, kind):
+    grid = build_xgrid(5, 0.1)
+    rng = np.random.default_rng(len(shape))
+    u = rng.standard_normal(shape)
+    if kind == "complex":
+        u = u + 1j * rng.standard_normal(shape)
+    fa, fb = grid.stencils(u)
+    for got, want in ((fa, grid.alpha(u)), (fb, grid.beta(u))):
+        assert got.shape == want.shape == shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 3), (2, 3, 5, 4)])
+def test_wrap_pad_copies_like_concatenation(shape):
+    """The periodic pad holds the concatenated rows; a stack's moved view
+    also keeps the concatenation's stack-major layout."""
+    u = np.random.default_rng(len(shape)).standard_normal(shape)
+    if u.ndim > 2:
+        u = u.swapaxes(0, -2)
+    got, want = _wrap_pad(u), np.concatenate((u[-1:], u, u[:1]))
+    assert got.tobytes() == want.tobytes()
+    if u.ndim > 2:
+        assert got.strides == want.strides
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])

@@ -725,6 +725,24 @@ def test_numerical_failure_carries_step(doc, failed_step):
     assert info.value.step == failed_step
 
 
+@pytest.mark.parametrize("doc,fails", [
+    (_MINIMAL, False),
+    (_ON_POLE, True),
+    (_MINIMAL.replace("cfl = 0.25", "cfl = 1e308"), True),
+])
+def test_run_simulation_restores_the_floating_point_error_state(doc, fails):
+    """The run raises on overflow inside its steps only: the caller's
+    error state is back after a finished run and after a failed one."""
+    with np.errstate(all="warn", under="ignore"):
+        before = np.geterr()
+        if fails:
+            with pytest.raises(NumericalError):
+                run_simulation(parse_config(doc))
+        else:
+            run_simulation(parse_config(doc))
+        assert np.geterr() == before
+
+
 @pytest.mark.parametrize(
     "doc,failed_step", [(_DIVERGING, 192), (_ON_POLE, 1), (_ON_POLE_RANK_1, 1)]
 )

@@ -89,7 +89,6 @@ def test_step_report_norms_match_states():
     vdisc = _vdisc_for("hyp")
     state = init_lowrank(np.random.default_rng(2).standard_normal((_NX, _NV)), 3)
     report = step(spec, state, vdisc, _GRID, 1e-2)
-    assert report.frobenius_before == pytest.approx(frobenius_norm(reconstruct(state)))
     assert report.frobenius_after == pytest.approx(
         frobenius_norm(reconstruct(report.state_after))
     )
@@ -175,9 +174,8 @@ def test_stacked_probes_step_like_single_probes(name, v_mode):
         singles.append(step(spec, reconstruct(state) if full else state, vdisc, _GRID, dt))
     _assert_slices_close(_dense_after(spec, report),
                          np.stack([_dense_after(spec, r) for r in singles]))
-    for field in ("frobenius_before", "frobenius_after"):
-        np.testing.assert_allclose(getattr(report, field),
-                                   [getattr(r, field) for r in singles], rtol=1e-14)
+    np.testing.assert_allclose(report.frobenius_after,
+                               [r.frobenius_after for r in singles], rtol=1e-14)
     assert type(report.qr_rank_events) is int
     assert report.qr_rank_events == sum(r.qr_rank_events for r in singles)
 
@@ -208,6 +206,95 @@ def test_stacked_step_sums_rank_events(name):
     assert report.qr_rank_events == sum(r.qr_rank_events for r in singles)
     _assert_slices_close(reconstruct(report.state_after),
                          np.stack([reconstruct(r.state_after) for r in singles]))
+
+
+# ---------------------------------------------------------------------------
+# the V basis a step hands on to the next
+
+_LOW_RANK_SCHEMES = [name for name in VERIFY_SCHEMES
+                     if parse_scheme_name(name).spec.approach != "full_tensor"]
+
+
+def _fresh(state):
+    """The same state built anew from copies of its factors: no carried basis."""
+    return LowRankState(X=state.X.copy(), S=state.S.copy(), V=state.V.copy())
+
+
+def _assert_reports_equal(got, want):
+    for f in "XSV":
+        assert getattr(got.state_after, f).tobytes() == getattr(want.state_after, f).tobytes()
+    assert np.asarray(got.frobenius_after).tobytes() == np.asarray(want.frobenius_after).tobytes()
+    assert got.qr_rank_events == want.qr_rank_events
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", _LOW_RANK_SCHEMES)
+def test_carried_basis_steps_bitwise_like_a_fresh_state(name, stacked):
+    spec = parse_scheme_name(name).spec
+    vdisc = _vdisc_for(name)
+    cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
+    dt = derive_dt(spec.equation, cfl, _NX, vdisc, strict=False)
+    if stacked:
+        state = LowRankState(**_state_stack())
+    else:
+        state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
+    for index in range(4):
+        assert (state._vbasis is None) == (index == 0)
+        report = step(spec, state, vdisc, _GRID, dt)
+        _assert_reports_equal(report, step(spec, _fresh(state), vdisc, _GRID, dt))
+        state = report.state_after
+
+
+@pytest.mark.parametrize("name", ["hyp-dtp-lie-fe", "hyp-ptd-strang-rk2", "par-strang-cn"])
+def test_carried_basis_saves_one_basis_per_step(monkeypatch, name):
+    """A fresh state builds a basis for its V and one after the L substep;
+    a stepped state reuses the first."""
+    built = []
+
+    class Counting(integrators._VBasis):
+        def __init__(self, v, vdisc):
+            built.append(v)
+            super().__init__(v, vdisc)
+
+    monkeypatch.setattr(integrators, "_VBasis", Counting)
+    spec = parse_scheme_name(name).spec
+    vdisc = _vdisc_for(name)
+    state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
+    state = step(spec, state, vdisc, _GRID, 1e-3).state_after
+    assert len(built) == 2
+    step(spec, state, vdisc, _GRID, 1e-3)
+    assert len(built) == 3
+    step(spec, _fresh(state), vdisc, _GRID, 1e-3)
+    assert len(built) == 5
+
+
+@pytest.mark.parametrize("name", ["hyp-dtp-lie-fe", "hyp-ptd-strang-rk2", "par-ptd-lie-theta1"])
+def test_carried_basis_is_rebuilt_for_another_velocity_operator(name):
+    spec = parse_scheme_name(name).spec
+    first = _vdisc_for(name)
+    other = build_vdisc("abs", "modal", _NV)
+    state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
+    state = step(spec, state, first, _GRID, 1e-3).state_after
+    assert state._vbasis.vdisc is first
+    report = step(spec, state, other, _GRID, 1e-3)
+    _assert_reports_equal(report, step(spec, _fresh(state), other, _GRID, 1e-3))
+    assert report.state_after._vbasis.vdisc is other
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_stepped_factors_are_read_only(stacked):
+    """The carried basis belongs to the returned V, so no returned factor
+    can be edited in place."""
+    spec = parse_scheme_name("hyp-ptd-strang-rk2").spec
+    vdisc = _vdisc_for("hyp")
+    if stacked:
+        state = LowRankState(**_state_stack())
+    else:
+        state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
+    after = step(spec, state, vdisc, _GRID, 1e-2).state_after
+    for f in "XSV":
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(after, f)[..., 0, 0] = 1.0
 
 
 _COEFFICIENTS = st.one_of(
@@ -486,7 +573,7 @@ def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
     xb = _XBasis(qr_thin(x)[0], grid)
     small = rhs[:r]
     projected = _implicit_solve(small, xb.cbeta_eig, dec, scale)
-    dense = _implicit_columns(small, xb.cbeta, dec, scale)
+    dense = _implicit_columns(small, xb.cstencils[1], dec, scale)
     assert np.iscomplexobj(projected) == (kind == "complex")
     for got, want in zip((projected @ rot).T, (dense @ rot).T):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -580,8 +667,8 @@ def test_dtp_advection_stencils_never_see_a_velocity_slice(monkeypatch, lead):
             return stencil(self, u)
         return wrapper
 
-    monkeypatch.setattr(XGrid, "alpha", recording(XGrid.alpha))
-    monkeypatch.setattr(XGrid, "beta", recording(XGrid.beta))
+    for stencil in ("alpha", "beta", "stencils"):
+        monkeypatch.setattr(XGrid, stencil, recording(getattr(XGrid, stencil)))
     dt = derive_dt("hyperbolic", 0.3, n_x, vdisc)
     for name in ("hyp-dtp-lie-fe", "hyp-dtp-strang-rk2"):
         step(parse_scheme_name(name).spec, state, vdisc, grid, dt)

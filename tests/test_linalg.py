@@ -17,6 +17,7 @@ from psilab.linalg import (
     solve_dense,
     sym_eig,
 )
+from reference_kernels import reference_frobenius_norm, reference_qr_thin_counted
 
 _finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 _complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -357,3 +358,91 @@ def test_frobenius_norm_of_a_stack_is_per_matrix():
     assert norms.shape == (4,)
     np.testing.assert_allclose(norms, [frobenius_norm(m) for m in stack], rtol=1e-15)
     assert isinstance(frobenius_norm(stack[0]), float)
+
+
+# ---------------------------------------------------------------------------
+# lean kernels against their reference bodies, byte for byte
+
+
+def _lean_kernel_inputs():
+    """(label, input) pairs: real and complex, dependent columns, zero,
+    far from unit scale, transposed and strided views, integers, NaN,
+    stacks."""
+    rng = np.random.default_rng(31)
+    real = rng.standard_normal((64, 4))
+    cplx = real + 1j * rng.standard_normal((64, 4))
+    dependent = rng.standard_normal((9, 4))
+    dependent[:, 2] = 2.0 * dependent[:, 0]
+    dependent[:, 3] = 0.0
+    cases = {
+        "real": real,
+        "complex": cplx,
+        "square": rng.standard_normal((5, 5)),
+        "one column": rng.standard_normal((7, 1)),
+        "dependent": dependent,
+        "dependent complex": dependent + 1j * np.roll(dependent, 1, axis=0),
+        "negative diagonal": -np.eye(6, 3),
+        "zero": np.zeros((8, 3)),
+        "zero complex": np.zeros((8, 3), dtype=complex),
+        "tiny": real * 1e-150,
+        "huge": real * 1e150,
+        "tiny complex": cplx * 1e-150,
+        "huge complex": cplx * 1e150,
+        "transposed": rng.standard_normal((4, 12)).T,
+        "strided": rng.standard_normal((20, 8))[::2, ::2],
+        "fortran": np.asfortranarray(rng.standard_normal((6, 3))),
+        "integer": np.arange(12).reshape(4, 3),
+        # LAPACK leaves a sign-bit NaN on the diagonal here.
+        "nan": np.array([[np.nan, 1.0], [2.0, 3.0], [4.0, 5.0]]),
+        "stack": _stack_with_dependent_slice(np.float64),
+        "complex stack": _stack_with_dependent_slice(np.complex128),
+    }
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("label,mat", _lean_kernel_inputs())
+def test_qr_bitwise_matches_the_reference_body(label, mat):
+    """The lean QR returns the reference body's Q and R, byte for byte and
+    in the same memory layout, with the same event count."""
+    q, r, events = qr_thin_counted(mat)
+    q_ref, r_ref, events_ref = reference_qr_thin_counted(mat)
+    assert events == events_ref
+    for got, want in ((q, q_ref), (r, r_ref)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+    if label.startswith("dependent"):
+        assert events == 2
+    if label.startswith("zero"):
+        assert events == 3
+
+
+def test_qr_lower_entries_are_positive_zeros():
+    # diag(R) < 0 flips whole rows of R; the zeros below must not turn -0.0.
+    _, r, _ = qr_thin_counted(-np.eye(6, 3))
+    assert not np.signbit(r).any()
+
+
+def test_qr_rejects_what_the_reference_rejects():
+    for bad in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ValueError) as want:
+            reference_qr_thin_counted(bad)
+        with pytest.raises(ValueError) as got:
+            qr_thin_counted(bad)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("label,mat", _lean_kernel_inputs() + [
+    ("vector", np.linspace(-1.0, 3.0, 7)),
+    ("complex vector", np.linspace(-1.0, 3.0, 7) * (1 - 2j)),
+    ("integer vector", np.arange(-3, 5)),
+    ("float32", np.arange(6, dtype=np.float32).reshape(3, 2) / 3),
+])
+def test_frobenius_norm_bitwise_matches_numpy(label, mat):
+    got = frobenius_norm(mat)
+    want = reference_frobenius_norm(mat)
+    if np.ndim(mat) > 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
