@@ -81,31 +81,32 @@ class XGrid:
 
     ``alpha`` applies the antisymmetric first difference (u_{j+1} - u_{j-1}),
     ``beta`` the symmetric second difference (u_{j-1} - 2 u_j + u_{j+1}),
-    both with wraparound along the grid axis: the rows of a matrix or of each
-    matrix in a stack, the entries of a vector; ``stencils`` gives both from
-    one padded copy. Both are circulant: FFT mode m is an eigenvector, and
-    ``beta`` multiplies it by -``two_y``[m].
+    both with wraparound along the grid axis of an array: the rows of a
+    matrix or of each matrix in a stack, the entries of a vector;
+    ``stencils`` gives both from one padded copy. Both are circulant: FFT
+    mode m is an eigenvector, and ``beta`` multiplies it by -``two_y``[m].
     """
 
     n_x: int
     dx: float
 
-    def alpha(self, u) -> np.ndarray:
-        u = np.asarray(u)
-        out = _first_difference(_wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2)))
-        return out if u.ndim < 3 else out.swapaxes(0, -2)
+    def alpha(self, u: np.ndarray) -> np.ndarray:
+        if u.ndim < 3:
+            return _first_difference(_wrap_pad(u))
+        return _first_difference(_wrap_pad(u.swapaxes(0, -2))).swapaxes(0, -2)
 
-    def beta(self, u) -> np.ndarray:
-        u = np.asarray(u)
-        out = _second_difference(_wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2)))
-        return out if u.ndim < 3 else out.swapaxes(0, -2)
+    def beta(self, u: np.ndarray) -> np.ndarray:
+        if u.ndim < 3:
+            return _second_difference(_wrap_pad(u))
+        return _second_difference(_wrap_pad(u.swapaxes(0, -2))).swapaxes(0, -2)
 
-    def stencils(self, u) -> tuple[np.ndarray, np.ndarray]:
+    def stencils(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(``alpha``(u), ``beta``(u)) from one periodic pad."""
-        u = np.asarray(u)
-        p = _wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
-        outs = _first_difference(p), _second_difference(p)
-        return outs if u.ndim < 3 else tuple(out.swapaxes(0, -2) for out in outs)
+        if u.ndim < 3:
+            p = _wrap_pad(u)
+            return _first_difference(p), _second_difference(p)
+        p = _wrap_pad(u.swapaxes(0, -2))
+        return _first_difference(p).swapaxes(0, -2), _second_difference(p).swapaxes(0, -2)
 
     @cached_property
     def two_y(self) -> np.ndarray:
@@ -215,7 +216,10 @@ def build_nodal(coeff_fn: Callable[[np.ndarray], np.ndarray], v_points) -> VDisc
     pts = np.asarray(v_points, dtype=np.float64)
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("v_points must be a nonempty 1-D array")
-    if np.unique(pts).size != pts.size:
+    # Sorted neighbours, as np.unique compares them without importing
+    # numpy.ma; NaNs sort last, and two of them count as equal there too.
+    ordered = np.sort(pts)
+    if ((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])).any():
         raise ValueError("v_points must be distinct")
     values = np.asarray(coeff_fn(pts), dtype=np.float64)
     require_finite("nodal coefficient values", values)

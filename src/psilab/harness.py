@@ -9,6 +9,7 @@ inputs produce bit-identical output.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -833,7 +834,7 @@ def run_simulation(cfg: ExperimentConfig) -> list[RunRecord]:
                 report = step(cfg.scheme, current, vdisc, grid, dt)
             except _NUMERICAL_FAILURES as exc:
                 raise NumericalError(index, str(exc)) from exc
-            if not np.isfinite(report.frobenius_after):
+            if not math.isfinite(report.frobenius_after):
                 raise NumericalError(index, f"norm {report.frobenius_after} is not finite")
             current = report.state_after
             records.append(record(index, report.frobenius_after))

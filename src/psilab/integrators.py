@@ -31,6 +31,7 @@ its report. A single state is the same code on plain matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,11 +171,14 @@ class LowRankState:
 def _gram_deviation(f: np.ndarray) -> float:
     """Frobenius norm of F^H F - I, formed in at least double precision; the
     largest over a stack."""
-    gram = np.asarray(f.conj().mT @ f, dtype=np.result_type(f, np.float64))
+    gram = f.conj().mT @ f
+    if gram.dtype != np.float64 and gram.dtype != np.complex128:
+        gram = gram.astype(np.result_type(f, np.float64))
     if gram.ndim > 2:
         return float(frobenius_norm(gram - np.identity(gram.shape[-1])).max())
-    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
-    return frobenius_norm(gram)
+    dev = gram.ravel()  # a view: the product is in C order
+    dev[:: gram.shape[0] + 1] -= 1.0
+    return math.sqrt(dev.dot(dev)) if dev.dtype == np.float64 else frobenius_norm(dev)
 
 
 @dataclass(frozen=True)
@@ -375,12 +379,17 @@ class _VBasis:
 
 
 class _XBasis:
-    """An X factor with the projected stencils (X^H alpha(X), X^H beta(X)),
-    from one stencil pass, and the latter's diagonalization, each built at
-    most once."""
+    """An X factor with its projected stencils, each built at most once:
+    X^H alpha(X) alone (``calpha``, all that PtD advection reads), the pair
+    (X^H alpha(X), X^H beta(X)) from one stencil pass (``cstencils``), and
+    the latter's diagonalization."""
 
     def __init__(self, x: np.ndarray, grid: XGrid):
         self.x, self.grid = x, grid
+
+    @_lazy
+    def calpha(self) -> np.ndarray:
+        return self.x.conj().mT @ self.grid.alpha(self.x)
 
     @_lazy
     def cstencils(self) -> tuple[np.ndarray, np.ndarray]:
@@ -418,12 +427,13 @@ def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
             fa, fb = g.stencils(k)
             return c * (fb @ upwind - fa @ coeff)
         return flux
-    calpha, cbeta = xb.cstencils
     if approach == "dtp":
+        calpha, cbeta = xb.cstencils
         if factor == "S":
             coeff, upwind = vb.coeff, vb.coeff_abs
             return lambda s: c * (calpha @ s @ coeff - cbeta @ s @ upwind)
         return lambda low: c * (cbeta @ low @ vd.coeff_abs - calpha @ low @ vd.coeff)
+    calpha = xb.calpha
     if factor == "S":
         atil = vb.atil
         return lambda s: c * (calpha @ s @ atil)

@@ -201,7 +201,10 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     time; the dependence test and the gauge act on the whole stack, only the
     flagged matrices are completed, and the count is the stack's total.
     """
-    a = _as_matrix(mat, "qr_thin input")
+    if type(mat) is np.ndarray and mat.dtype == np.float64 and mat.ndim == 2:
+        a = mat  # what the steppers pass: no coercion
+    else:
+        a = _as_matrix(mat, "qr_thin input")
     n, r = a.shape[-2:]
     if n < r:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {n}x{r}")
@@ -238,19 +241,26 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
     if np.iscomplexobj(diag):
         phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
     else:
-        phase = np.where(diag < 0, -1.0, 1.0)
-    q *= phase[..., None, :]
+        # A zero diagonal entry always counts as dependent and is completed,
+        # so the sign bit alone is the phase.
+        phase = np.copysign(1.0, diag)
     # R is column-major per matrix (see _lapack_qr), so R^T is C-order and
     # its flat view per matrix takes the zeros and the diagonal as strided
-    # writes.
+    # writes; Q's columns and R^T's columns take the phase.
     rt = rfac.mT
-    rt *= phase.conj()[..., None, :]
-    flat = rt.reshape(*rt.shape[:-2], r * r)
+    if stack:
+        phase = phase[..., None, :]
+        flat = rt.reshape(*rt.shape[:-2], r * r)
+        upper, diagonal = (..., _strict_upper(r)), (..., slice(None, None, r + 1))
+    else:
+        flat, upper, diagonal = rt.reshape(r * r), _strict_upper(r), slice(None, None, r + 1)
+    q *= phase
+    rt *= phase.conj()
     # A replaced column contributes only its sub-RANK_TOL residual here.
     for replaced in completed:
         mag[replaced] = 0.0
-    flat[..., _strict_upper(r)] = 0.0  # reflector data, below R's diagonal
-    flat[..., :: r + 1] = mag
+    flat[upper] = 0.0  # reflector data, below R's diagonal
+    flat[diagonal] = mag
     return q, rfac, events
 
 
@@ -265,6 +275,16 @@ def qr_thin(mat) -> tuple[np.ndarray, np.ndarray]:
     return q, rfac
 
 
+def _eigh_descending(mat, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetrized real matrix or stack, as reversed views:
+    eigenvalues descending, the eigenvector columns in the same order."""
+    a = np.asarray(mat, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{what} needs a square matrix or a stack of them, got shape {a.shape}")
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.mT))
+    return vals[..., ::-1], vecs[..., ::-1]
+
+
 def sym_eig(mat) -> SpectralDecomposition:
     """Eigendecomposition of a real symmetric matrix, or of each matrix in a
     stack (leading axes).
@@ -273,27 +293,23 @@ def sym_eig(mat) -> SpectralDecomposition:
     accepted. Eigenvalues come back in descending order; each eigenvector is
     oriented so its largest-magnitude entry is positive.
     """
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"sym_eig needs a square matrix or a stack of them, got shape {a.shape}")
-    sym = 0.5 * (a + a.mT)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = vals[..., ::-1].copy()
-    vecs = vecs[..., ::-1]
+    vals, vecs = _eigh_descending(mat, "sym_eig")
     lead = np.abs(vecs).argmax(axis=-2, keepdims=True)
     if vecs.ndim == 2:  # plain fancy indexing is the cheaper gather here
         top = vecs[lead[0], np.arange(vecs.shape[1])]
     else:
         top = np.take_along_axis(vecs, lead, axis=-2)
     vecs = np.where(top < 0, -vecs, vecs)
-    return SpectralDecomposition(eigenvectors=vecs, eigenvalues=vals)
+    return SpectralDecomposition(eigenvectors=vecs, eigenvalues=vals.copy())
 
 
 def matrix_abs(mat) -> np.ndarray:
     """Spectral absolute value |A| = R |Lambda| R^T of a symmetric matrix,
-    or of each matrix in a stack."""
-    dec = sym_eig(mat)
-    out = (dec.eigenvectors * np.abs(dec.eigenvalues)[..., None, :]) @ dec.eigenvectors.mT
+    or of each matrix in a stack. R takes no sign gauge, as a column's sign
+    cancels exactly in each term; the descending order fixes the sums' order."""
+    vals, vecs = _eigh_descending(mat, "matrix_abs")
+    vecs = vecs.copy()  # C order, so the product runs as with sym_eig's R
+    out = (vecs * np.abs(vals)[..., None, :]) @ vecs.mT
     return 0.5 * (out + out.mT)
 
 

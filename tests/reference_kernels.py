@@ -1,4 +1,5 @@
-"""Reference kernels the tests compare the package's lean versions against.
+"""Reference kernels the tests compare the package's lean versions against,
+byte for byte.
 
 ``reference_qr_thin_counted`` is the thin QR's earlier body, kept verbatim
 apart from calling ``reference_frobenius_norm``: a per-row zeroing loop, a
@@ -6,11 +7,24 @@ fancy-index diagonal write, a ``np.divide`` phase for every dtype and
 ``np.linalg.norm`` for the rank tolerance. The LAPACK calls and the rank
 completion are the package's own, so a test comparing the two checks the
 bookkeeping around them byte for byte.
+
+``reference_matrix_abs`` is the spectral absolute value built on
+``sym_eig``'s sign-oriented eigenvectors; ``reference_gram_deviation`` forms
+F^H F - I through a coercing ``np.asarray`` and ``frobenius_norm``;
+``reference_stencils`` is ``XGrid.stencils`` through ``np.asarray`` and a
+stack's swapped axes, with its own periodic pad.
 """
 
 import numpy as np
 
-from psilab.linalg import RANK_TOL, _as_matrix, _complete_rank, _lapack_qr
+from psilab.linalg import (
+    RANK_TOL,
+    _as_matrix,
+    _complete_rank,
+    _lapack_qr,
+    frobenius_norm,
+    sym_eig,
+)
 
 
 def reference_frobenius_norm(mat):
@@ -60,3 +74,34 @@ def reference_qr_thin_counted(mat):
     diagonal = np.arange(r)
     rfac[..., diagonal, diagonal] = mag
     return q, rfac, events
+
+
+def reference_matrix_abs(mat):
+    dec = sym_eig(mat)
+    out = (dec.eigenvectors * np.abs(dec.eigenvalues)[..., None, :]) @ dec.eigenvectors.mT
+    return 0.5 * (out + out.mT)
+
+
+def reference_gram_deviation(f):
+    gram = np.asarray(f.conj().mT @ f, dtype=np.result_type(f, np.float64))
+    if gram.ndim > 2:
+        return float(frobenius_norm(gram - np.identity(gram.shape[-1])).max())
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return frobenius_norm(gram)
+
+
+def _reference_wrap_pad(u):
+    if u.ndim < 3:
+        n = u.shape[0]
+        return u.take(np.concatenate(([n - 1], np.arange(n), [0])), axis=0)
+    return np.concatenate((u[-1:], u, u[:1]))
+
+
+def reference_stencils(u):
+    """(alpha(u), beta(u)) along the grid axis, from one periodic pad."""
+    u = np.asarray(u)
+    p = _reference_wrap_pad(u if u.ndim < 3 else u.swapaxes(0, -2))
+    second = p[2:] + p[:-2]
+    second -= 2.0 * p[1:-1]
+    outs = p[2:] - p[:-2], second
+    return outs if u.ndim < 3 else tuple(out.swapaxes(0, -2) for out in outs)

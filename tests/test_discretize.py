@@ -1,10 +1,15 @@
 """Velocity discretizations, periodic stencils, and Fourier-mode algebra."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psilab
 from psilab.discretize import (
     _wrap_pad,
     build_modal,
@@ -15,6 +20,7 @@ from psilab.discretize import (
     gauss_legendre_points,
     mode_coords,
 )
+from reference_kernels import reference_stencils
 
 # 4-point Gauss-Legendre nodes on [-1, 1], the nodal spectrum for a(v) = v
 _GL4 = [0.8611363115940526, 0.3399810435848563, -0.3399810435848563, -0.8611363115940526]
@@ -179,3 +185,65 @@ def test_gauss_legendre_nodes():
     np.testing.assert_allclose(pts + pts[::-1], 0.0, atol=1e-15)
     with pytest.raises(ValueError):
         gauss_legendre_points(0)
+
+
+def _stencil_inputs():
+    """(label, input) pairs: vectors, matrices, stacks, non-contiguous views
+    and the smallest grid, N_x = 3."""
+    rng = np.random.default_rng(51)
+    cases = {
+        "vector": rng.standard_normal(8),
+        "matrix": rng.standard_normal((64, 4)),
+        "complex matrix": rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3)),
+        "n_x 3": rng.standard_normal((3, 2)),
+        "n_x 3 vector": rng.standard_normal(3),
+        "transposed": rng.standard_normal((4, 12)).T,
+        "strided": rng.standard_normal((24, 8))[::2, ::2],
+        "fortran": np.asfortranarray(rng.standard_normal((10, 3))),
+        "stack": rng.standard_normal((2, 12, 4)),
+        "deep stack": rng.standard_normal((2, 3, 5, 4)),
+        "n_x 3 stack": rng.standard_normal((4, 3, 2)),
+        "strided stack": rng.standard_normal((3, 20, 6))[:, ::2, ::3],
+    }
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("label,u", _stencil_inputs())
+def test_stencils_bitwise_match_the_reference_body(label, u):
+    """alpha, beta and the shared-pad pair give the reference body's bytes,
+    dtype and memory layout, for plain matrices and for stacks alike."""
+    grid = build_xgrid(u.shape[-2] if u.ndim > 1 else u.shape[0], 0.1)
+    want_a, want_b = reference_stencils(u)
+    fa, fb = grid.stencils(u)
+    for got, want in ((fa, want_a), (fb, want_b), (grid.alpha(u), want_a), (grid.beta(u), want_b)):
+        assert got.dtype == want.dtype and got.shape == want.shape == u.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+def test_nodal_points_must_be_distinct():
+    """The duplicates np.unique finds: equal values, signed zeros, NaNs."""
+    constant = coefficient_from_name("const:1")
+    for points in ([0.5, -0.25, 0.5], [0.0, -0.0], [1.0, 1.0], [np.nan, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="^v_points must be distinct$"):
+            build_nodal(constant, points)
+    assert build_nodal(constant, [0.5, -0.25, 0.25]).size == 3
+    assert build_nodal(constant, [0.5, np.nan]).size == 2  # one NaN is distinct
+
+
+def test_import_and_a_nodal_build_leave_numpy_ma_unloaded():
+    """``np.unique`` imports numpy.ma; neither the package import nor the
+    first velocity operator build may reach it."""
+    probe = (
+        "import sys\n"
+        "import psilab\n"
+        "from psilab.discretize import build_nodal, coefficient_from_name, gauss_legendre_points\n"
+        "build_nodal(coefficient_from_name('linear'), gauss_legendre_points(8))\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(psilab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["True", "False"]

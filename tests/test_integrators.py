@@ -11,6 +11,7 @@ import psilab.integrators as integrators
 from psilab.discretize import XGrid, build_xgrid, fourier_mode
 from psilab.harness import (
     VERIFY_SCHEMES,
+    ExperimentConfig,
     build_vdisc,
     complex_mode_probes,
     complex_mode_state,
@@ -20,6 +21,7 @@ from psilab.harness import (
     parabolic_mode_equivalence,
     parse_scheme_name,
     run_oracle_suite,
+    run_simulation,
 )
 from psilab.integrators import (
     LowRankState,
@@ -35,6 +37,11 @@ from psilab.integrators import (
     step,
 )
 from psilab.linalg import SingularMatrixError, frobenius_norm, qr_thin, sym_eig
+from reference_kernels import (
+    reference_gram_deviation,
+    reference_matrix_abs,
+    reference_qr_thin_counted,
+)
 
 _NX, _NV = 16, 4
 _GRID = build_xgrid(_NX, 2.0 * np.pi / _NX)
@@ -698,3 +705,85 @@ def test_dtp_advection_steps_a_general_complex_state(monkeypatch, name):
     monkeypatch.setattr(integrators, "_hyperbolic_field", slice_field)
     want = reconstruct(step(spec, state, vdisc, grid, dt).state_after)
     assert frobenius_norm(got - want) <= 1e-13 * frobenius_norm(want)
+
+
+# ---------------------------------------------------------------------------
+# lean step kernels against their reference bodies, byte for byte
+
+
+def _gram_inputs():
+    rng = np.random.default_rng(61)
+    frame, _ = qr_thin(rng.standard_normal((64, 4)))
+    cframe, _ = qr_thin(rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3)))
+    cases = {
+        "real frame": frame,
+        "complex frame": cframe,
+        "one column": frame[:, :1],
+        "non-orthonormal": rng.standard_normal((9, 3)),
+        "non-orthonormal complex": rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)),
+        "integer": np.eye(_NX, 2, dtype=int),
+        "integer non-orthonormal": np.arange(12).reshape(4, 3),
+        "float32": frame.astype(np.float32),
+        "transposed": np.ascontiguousarray(frame.T).T,
+        "strided": rng.standard_normal((20, 8))[::2, ::2],
+        "stack": np.stack([frame, frame * (1.0 + 1e-9), -frame]),
+        "complex stack": np.stack([cframe, cframe.conj()])[None],
+    }
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("label,f", _gram_inputs())
+def test_gram_deviation_bitwise_matches_the_reference_body(label, f):
+    before = f.copy()
+    got, want = integrators._gram_deviation(f), reference_gram_deviation(f)
+    assert type(got) is float and type(want) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert f.tobytes() == before.tobytes()  # the input is left alone
+
+
+@pytest.mark.parametrize("initial_data", ["random_rank_r", "worst_mode"])
+@pytest.mark.parametrize("name", _LOW_RANK_SCHEMES)
+def test_march_bitwise_matches_a_march_on_the_reference_kernels(monkeypatch, name,
+                                                                initial_data):
+    """100 steps with the lean QR, |A| and orthonormality check record the
+    same norm and residual bytes as with the reference bodies."""
+    info = parse_scheme_name(name)
+    hyperbolic = info.spec.equation == "hyperbolic"
+    cfg = ExperimentConfig(
+        scheme=info.spec, n_x=16, n_v=4, rank=2, cfl=0.3 if hyperbolic else 0.2,
+        steps=100, coefficient="linear" if hyperbolic else "square", seed=3,
+        initial_data=initial_data,
+    )
+    shipped = run_simulation(cfg)
+    for attr, reference in (("matrix_abs", reference_matrix_abs),
+                            ("qr_thin_counted", reference_qr_thin_counted),
+                            ("_gram_deviation", reference_gram_deviation)):
+        monkeypatch.setattr(integrators, attr, reference)
+    referenced = run_simulation(cfg)
+    assert len(shipped) == len(referenced) == 101
+    for column in ("frobenius", "ortho_residual"):
+        got = np.array([getattr(rec, column) for rec in shipped])
+        want = np.array([getattr(rec, column) for rec in referenced])
+        assert got.tobytes() == want.tobytes(), column
+
+
+@pytest.mark.parametrize("name,evaluations", [("hyp-ptd-lie-fe", 1),
+                                              ("hyp-ptd-strang-rk2", 4)])
+def test_ptd_advection_pads_only_for_its_k_field(monkeypatch, name, evaluations):
+    """PtD's S and L fields read X^H alpha(X) alone, so a step pads for
+    beta only where a K field is evaluated: once per forward Euler K
+    substep, twice per SSP-RK2 one."""
+    calls = []
+
+    def counting(stencil):
+        def wrapper(self, u):
+            calls.append(stencil.__name__)
+            return stencil(self, u)
+        return wrapper
+
+    for stencil in ("beta", "stencils"):
+        monkeypatch.setattr(XGrid, stencil, counting(getattr(XGrid, stencil)))
+    spec = parse_scheme_name(name).spec
+    state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
+    step(spec, state, _vdisc_for(name), _GRID, 1e-2)
+    assert calls == ["stencils"] * evaluations

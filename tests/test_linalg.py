@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import psilab.linalg as linalg
 from psilab.linalg import (
     SingularMatrixError,
     _lapack_qr,
@@ -17,7 +18,11 @@ from psilab.linalg import (
     solve_dense,
     sym_eig,
 )
-from reference_kernels import reference_frobenius_norm, reference_qr_thin_counted
+from reference_kernels import (
+    reference_frobenius_norm,
+    reference_matrix_abs,
+    reference_qr_thin_counted,
+)
 
 _finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 _complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -446,3 +451,67 @@ def test_frobenius_norm_bitwise_matches_numpy(label, mat):
     else:
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_qr_completes_a_matrix_from_the_factorisation_already_made(monkeypatch):
+    """A plain matrix with one dependent column is factored twice: once,
+    then once more after its completion; never a fresh first factoring."""
+    calls = []
+
+    def counting(a):
+        calls.append(a.copy())
+        return _lapack_qr(a)
+
+    monkeypatch.setattr(linalg, "_lapack_qr", counting)
+    mat = np.zeros((5, 2))
+    mat[0] = 1.0  # [e0, e0]
+    q, r, events = qr_thin_counted(mat)
+    assert events == 1 and len(calls) == 2
+    assert calls[0].tobytes() == mat.tobytes()
+    assert calls[1][:, 0].tobytes() == mat[:, 0].tobytes()
+    assert calls[1][:, 1].tobytes() != mat[:, 1].tobytes()
+    q_ref, r_ref, _ = reference_qr_thin_counted(mat)
+    assert q.tobytes() == q_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+
+
+def _symmetric_inputs():
+    """(label, input) pairs for the spectral absolute value: random,
+    degenerate spectra, 1 x 1, negative definite, nearly symmetric, stacks."""
+    rng = np.random.default_rng(41)
+    cases = {}
+    for n in (2, 4, 7):
+        raw = rng.standard_normal((n, n))
+        cases[f"random {n}"] = raw + raw.T
+        cases[f"nearly symmetric {n}"] = raw + raw.T + 1e-15 * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        cases[f"degenerate {n}"] = (q * np.repeat([2.0, -2.0], n)[:n]) @ q.T
+        cases[f"negative definite {n}"] = -(raw @ raw.T) - np.eye(n)
+    cases["identity"] = np.eye(5)
+    cases["zero"] = np.zeros((3, 3))
+    cases["1x1"] = np.array([[-3.5]])
+    cases["1x1 zero"] = np.array([[0.0]])
+    cases["integer"] = np.array([[2, 1], [1, -4]])
+    cases["fortran"] = np.asfortranarray(cases["random 4"])
+    raw = rng.standard_normal((2, 3, 4, 4))
+    stack = raw + raw.mT
+    stack[1, 2] = np.diag([1.0, -1.0, 1.0, -1.0])
+    cases["stack"] = stack
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("label,mat", _symmetric_inputs())
+def test_matrix_abs_bitwise_matches_the_oriented_reference(label, mat):
+    """Dropping the eigenvector sign gauge changes no byte of |A|: a sign
+    flip of a column of R is exact in (R |Lambda|) R^T."""
+    got, want = matrix_abs(mat), reference_matrix_abs(mat)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_abs_rejects_what_sym_eig_rejects():
+    for bad in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="needs a square matrix"):
+            sym_eig(bad)
+        with pytest.raises(ValueError, match="matrix_abs needs a square matrix"):
+            matrix_abs(bad)
