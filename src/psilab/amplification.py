@@ -341,7 +341,9 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.nd
     """Tabulate the surface on [0, 2] x [0, mu_max] as rows (Y, mu, h).
 
     Rows run Y-major: all mu values of the first Y, then the next Y. Poles
-    appear as inf and are preserved for the text output.
+    appear as inf and are preserved for the text output. The table is the
+    only grid-sized array: each mu column is one sweep over Y, written
+    straight into it (one broadcast over the whole grid rounds otherwise).
     """
     if y_points < 2 or mu_points < 2:
         raise ValueError("need at least two points per axis")
@@ -349,14 +351,12 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.nd
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     ys = np.linspace(0.0, 2.0, y_points)
     mus = np.linspace(0.0, mu_max, mu_points)
-    h = np.empty((y_points, mu_points))
+    out = np.empty((y_points, mu_points, 3))
+    out[:, :, 0] = ys[:, None]
+    out[:, :, 1] = mus
     for j, mu in enumerate(mus):
-        h[:, j] = _sweep_on(surface, ys, float(mu))
-    out = np.empty((y_points * mu_points, 3))
-    out[:, 0] = np.repeat(ys, mu_points)
-    out[:, 1] = np.tile(mus, y_points)
-    out[:, 2] = h.reshape(-1)
-    return out
+        out[:, j, 2] = _sweep_on(surface, ys, float(mu))
+    return out.reshape(-1, 3)
 
 
 def _sweep_on(surface, ys: np.ndarray, mu: float) -> np.ndarray:

@@ -119,16 +119,6 @@ class XGrid:
         fft, ifft = partial(np.fft.fft, axis=-2), partial(np.fft.ifft, axis=-2)
         return Diagonalization(-self.two_y, fft, ifft, real=True)
 
-    @cached_property
-    def m_alpha(self) -> np.ndarray:
-        """Dense matrix of ``alpha``."""
-        return self.alpha(np.identity(self.n_x))
-
-    @cached_property
-    def m_beta(self) -> np.ndarray:
-        """Dense matrix of ``beta``."""
-        return self.beta(np.identity(self.n_x))
-
 
 def _wrap_pad(u: np.ndarray) -> np.ndarray:
     """u with one periodic ghost row on each end of axis 0; the stencils

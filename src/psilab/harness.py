@@ -919,13 +919,13 @@ FIGURE_GRIDS: tuple[tuple[str, str, float], ...] = tuple(
 
 
 def emit_figure_grids(outdir: str) -> list[str]:
-    """Write the four 401x401 stability-surface grids into ``outdir``."""
+    """Write the four 401x401 stability-surface grids into ``outdir``; each
+    table goes straight to the writer, so one table is held at a time."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for filename, scheme_name, mu_max in FIGURE_GRIDS:
-        info = parse_scheme_name(scheme_name)
-        table = contour_grid(info.surface, 401, 401, mu_max)
         path = os.path.join(outdir, filename)
-        write_contour_csv(path, table)
+        write_contour_csv(path, contour_grid(parse_scheme_name(scheme_name).surface,
+                                             401, 401, mu_max))
         paths.append(path)
     return paths

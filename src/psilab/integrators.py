@@ -380,9 +380,10 @@ class _VBasis:
 
 class _XBasis:
     """An X factor with its projected stencils, each built at most once:
-    X^H alpha(X) alone (``calpha``, all that PtD advection reads), the pair
-    (X^H alpha(X), X^H beta(X)) from one stencil pass (``cstencils``), and
-    the latter's diagonalization."""
+    X^H alpha(X) alone (``calpha``, all that PtD advection reads), X^H
+    beta(X) alone (``cbeta``, all that diffusion reads) and its
+    diagonalization, and the pair (X^H alpha(X), X^H beta(X)) from one
+    stencil pass (``cstencils``) for DtP advection."""
 
     def __init__(self, x: np.ndarray, grid: XGrid):
         self.x, self.grid = x, grid
@@ -390,6 +391,10 @@ class _XBasis:
     @_lazy
     def calpha(self) -> np.ndarray:
         return self.x.conj().mT @ self.grid.alpha(self.x)
+
+    @_lazy
+    def cbeta(self) -> np.ndarray:
+        return self.x.conj().mT @ self.grid.beta(self.x)
 
     @_lazy
     def cstencils(self) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +405,7 @@ class _XBasis:
     @_lazy
     def cbeta_eig(self) -> Diagonalization:
         # eigh, not sym_eig: mode probes make X^H beta X complex Hermitian.
-        vals, vecs = np.linalg.eigh(self.cstencils[1])
+        vals, vecs = np.linalg.eigh(self.cbeta)
         forward, inverse = (lambda u: vecs.conj().mT @ u), (lambda z: vecs @ z)
         return Diagonalization(vals, forward, inverse, real=np.isrealobj(vecs))
 
@@ -460,11 +465,11 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
         if approach == "dtp":
             vh = v.conj().mT
             return lambda s: -(xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v)
-        cbeta, atil = xb.cstencils[1], vb.atil
+        cbeta, atil = xb.cbeta, vb.atil
         return lambda s: -(cbeta @ (s @ atil))
     if approach == "dtp":
         return lambda low: xh @ (g.beta(x @ low) @ vd.coeff)
-    cbeta = xb.cstencils[1]
+    cbeta = xb.cbeta
     return lambda low: cbeta @ (low @ vd.coeff)
 
 

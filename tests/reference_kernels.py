@@ -12,11 +12,18 @@ bookkeeping around them byte for byte.
 ``sym_eig``'s sign-oriented eigenvectors; ``reference_gram_deviation`` forms
 F^H F - I through a coercing ``np.asarray`` and ``frobenius_norm``;
 ``reference_stencils`` is ``XGrid.stencils`` through ``np.asarray`` and a
-stack's swapped axes, with its own periodic pad.
+stack's swapped axes, with its own periodic pad; ``dense_alpha`` and
+``dense_beta`` are the N_x x N_x matrices of a grid's stencils.
+
+``reference_contour_grid`` is ``contour_grid``'s earlier body: a separate h
+matrix, then Y and mu columns from ``np.repeat`` and ``np.tile``.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
+from psilab.amplification import _sweep_on
 from psilab.linalg import (
     RANK_TOL,
     _as_matrix,
@@ -105,3 +112,28 @@ def reference_stencils(u):
     second -= 2.0 * p[1:-1]
     outs = p[2:] - p[:-2], second
     return outs if u.ndim < 3 else tuple(out.swapaxes(0, -2) for out in outs)
+
+
+@lru_cache(maxsize=None)
+def dense_alpha(grid):
+    """Dense matrix of ``grid.alpha``."""
+    return grid.alpha(np.identity(grid.n_x))
+
+
+@lru_cache(maxsize=None)
+def dense_beta(grid):
+    """Dense matrix of ``grid.beta``."""
+    return grid.beta(np.identity(grid.n_x))
+
+
+def reference_contour_grid(surface, y_points, mu_points, mu_max):
+    ys = np.linspace(0.0, 2.0, y_points)
+    mus = np.linspace(0.0, mu_max, mu_points)
+    h = np.empty((y_points, mu_points))
+    for j, mu in enumerate(mus):
+        h[:, j] = _sweep_on(surface, ys, float(mu))
+    out = np.empty((y_points * mu_points, 3))
+    out[:, 0] = np.repeat(ys, mu_points)
+    out[:, 1] = np.tile(mus, y_points)
+    out[:, 2] = h.reshape(-1)
+    return out

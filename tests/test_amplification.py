@@ -24,7 +24,8 @@ from psilab.amplification import (
     h_ptd_strang_rk2,
     mode_multiplier,
 )
-from psilab.harness import BOUNDARY_SUITE, parse_scheme_name
+from psilab.harness import BOUNDARY_SUITE, FIGURE_GRIDS, parse_scheme_name
+from reference_kernels import reference_contour_grid
 
 _Y = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 _NU = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -251,6 +252,25 @@ def test_contour_grid_marks_poles_infinite():
     assert y == pytest.approx(10.0 / 11.0) and mu == pytest.approx(0.55)
     assert 2.0 * y * mu != 1.0
     assert np.isinf(h)
+
+
+_CONTOUR_CASES = [
+    (name, mu_max, y_points, mu_points)
+    for _, name, mu_max in FIGURE_GRIDS
+    for y_points, mu_points in [(2, 2), (3, 3), (401, 7), (7, 401)]
+] + [("par-dtp-lie-theta1", 1.0, 23, 101)]  # rows through the inf poles
+
+
+@pytest.mark.parametrize("name,mu_max,y_points,mu_points", _CONTOUR_CASES)
+def test_contour_grid_bitwise_matches_the_repeat_tile_table(name, mu_max, y_points,
+                                                            mu_points):
+    surface = parse_scheme_name(name).surface
+    got = contour_grid(surface, y_points, mu_points, mu_max)
+    want = reference_contour_grid(surface, y_points, mu_points, mu_max)
+    assert got.shape == want.shape == (y_points * mu_points, 3)
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
 
 
 _BAD_VARIANTS = [

@@ -20,7 +20,7 @@ from psilab.discretize import (
     gauss_legendre_points,
     mode_coords,
 )
-from reference_kernels import reference_stencils
+from reference_kernels import dense_alpha, dense_beta, reference_stencils
 
 # 4-point Gauss-Legendre nodes on [-1, 1], the nodal spectrum for a(v) = v
 _GL4 = [0.8611363115940526, 0.3399810435848563, -0.3399810435848563, -0.8611363115940526]
@@ -69,7 +69,7 @@ def test_modal_square_diagonal_entries():
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
 def test_stencils_are_circulant_and_antisymmetric(n_x):
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
-    ma, mb = grid.m_alpha, grid.m_beta
+    ma, mb = dense_alpha(grid), dense_beta(grid)
     assert ma.shape == (n_x, n_x) and mb.shape == (n_x, n_x)
     np.testing.assert_allclose(ma, -ma.T, atol=0)
     np.testing.assert_allclose(mb, mb.T, atol=0)
@@ -82,10 +82,10 @@ def test_stencil_rows_small_grid():
     grid = build_xgrid(8, 2.0 * np.pi / 8)
     row_a = np.zeros(8)
     row_a[1], row_a[-1] = 1.0, -1.0  # forward neighbor minus backward neighbor
-    np.testing.assert_allclose(grid.m_alpha[0], row_a, atol=0)
+    np.testing.assert_allclose(dense_alpha(grid)[0], row_a, atol=0)
     row_b = np.zeros(8)
     row_b[0], row_b[1], row_b[-1] = -2.0, 1.0, 1.0
-    np.testing.assert_allclose(grid.m_beta[0], row_b, atol=0)
+    np.testing.assert_allclose(dense_beta(grid)[0], row_b, atol=0)
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
@@ -94,8 +94,8 @@ def test_fourier_modes_are_stencil_eigenvectors(n_x):
     for m in range(n_x):
         mode = fourier_mode(m, n_x)
         mc = mode_coords(m, n_x)
-        np.testing.assert_allclose(grid.m_alpha @ mode, mc.alpha * mode, atol=1e-12)
-        np.testing.assert_allclose(grid.m_beta @ mode, mc.beta * mode, atol=1e-12)
+        np.testing.assert_allclose(dense_alpha(grid) @ mode, mc.alpha * mode, atol=1e-12)
+        np.testing.assert_allclose(dense_beta(grid) @ mode, mc.beta * mode, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
@@ -107,9 +107,9 @@ def test_shift_stencils_match_dense_matrices(n_x, cols, kind):
     u = rng.standard_normal((n_x, cols))
     if kind == "complex":
         u = u + 1j * rng.standard_normal((n_x, cols))
-    np.testing.assert_allclose(grid.alpha(u), grid.m_alpha @ u, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(grid.beta(u), grid.m_beta @ u, rtol=1e-14, atol=1e-14)
-    np.testing.assert_allclose(grid.beta(u[:, 0]), grid.m_beta @ u[:, 0], atol=1e-14)
+    np.testing.assert_allclose(grid.alpha(u), dense_alpha(grid) @ u, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(grid.beta(u), dense_beta(grid) @ u, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(grid.beta(u[:, 0]), dense_beta(grid) @ u[:, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 3), (2, 3, 5, 4)])

@@ -481,15 +481,36 @@ def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
         table = _figure_table(scheme_name, mu_max)
     else:
         table = _long_run_table(200_000)
+    assert _traced_peak(write_contour_csv, str(tmp_path / "fig.csv"), table) < 1_000_000
+
+
+def _traced_peak(call, *args):
+    """Peak bytes tracemalloc sees during call(*args), above what was
+    allocated before it; the result counts while it is alive."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        write_contour_csv(str(tmp_path / "fig.csv"), table)
+        call(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 1_000_000
+    return peak - before
+
+
+@pytest.mark.parametrize("y_points,mu_points", [(401, 401), (157, 401), (401, 157)])
+def test_contour_grid_allocates_only_its_table(y_points, mu_points):
+    # The table is built in place, one mu column sweep at a time: no second
+    # grid-sized array (h matrix, repeated Y, tiled mu) exists beside it.
+    surface = parse_scheme_name("hyp-ptd-strang-rk2").surface
+    nbytes = 24 * y_points * mu_points
+    assert _traced_peak(contour_grid, surface, y_points, mu_points, 2.5) <= nbytes + 256 * 1024
+
+
+def test_figure_grids_hold_one_table_at_a_time(tmp_path):
+    # One 401 x 401 table is 3.86 MB; holding the previous figure's table
+    # while the next is built would read above 7.7 MB.
+    assert _traced_peak(emit_figure_grids, str(tmp_path)) < 5_500_000
 
 
 @pytest.mark.parametrize("mu_max", [math.inf, math.nan, -1.0])

@@ -38,6 +38,8 @@ from psilab.integrators import (
 )
 from psilab.linalg import SingularMatrixError, frobenius_norm, qr_thin, sym_eig
 from reference_kernels import (
+    dense_alpha,
+    dense_beta,
     reference_gram_deviation,
     reference_matrix_abs,
     reference_qr_thin_counted,
@@ -387,8 +389,8 @@ def test_strang_splitting_gap_is_third_order():
     lam, lam_abs = vdisc.coeff, vdisc.coeff_abs
 
     def rhs(u):
-        adv = _GRID.m_alpha @ u @ lam.T / (2.0 * _GRID.dx)
-        dif = _GRID.m_beta @ u @ lam_abs.T / (2.0 * _GRID.dx)
+        adv = dense_alpha(_GRID) @ u @ lam.T / (2.0 * _GRID.dx)
+        dif = dense_beta(_GRID) @ u @ lam_abs.T / (2.0 * _GRID.dx)
         return dif - adv
 
     gaps = []
@@ -567,7 +569,7 @@ def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
     if kind == "complex":
         rhs = rhs + 1j * rng.standard_normal((n_x, 5))
     fourier = _implicit_solve(rhs, grid.beta_eig, dec, scale)
-    dense = _implicit_columns(rhs, grid.m_beta, dec, scale)
+    dense = _implicit_columns(rhs, dense_beta(grid), dec, scale)
     assert np.iscomplexobj(fourier) == (kind == "complex")
     rot = dec.eigenvectors
     for got, want in zip((fourier @ rot).T, (dense @ rot).T):
@@ -604,7 +606,7 @@ def _slice_flux(u, vdisc, grid):
     """The upwind full-tensor flux of the dense slices u, with the dense
     stencil matrices."""
     c = 1.0 / (2.0 * grid.dx)
-    return c * (grid.m_beta @ u @ vdisc.coeff_abs - grid.m_alpha @ u @ vdisc.coeff)
+    return c * (dense_beta(grid) @ u @ vdisc.coeff_abs - dense_alpha(grid) @ u @ vdisc.coeff)
 
 
 def _slice_dtp_field(factor, xb, vb):
@@ -767,12 +769,9 @@ def test_march_bitwise_matches_a_march_on_the_reference_kernels(monkeypatch, nam
         assert got.tobytes() == want.tobytes(), column
 
 
-@pytest.mark.parametrize("name,evaluations", [("hyp-ptd-lie-fe", 1),
-                                              ("hyp-ptd-strang-rk2", 4)])
-def test_ptd_advection_pads_only_for_its_k_field(monkeypatch, name, evaluations):
-    """PtD's S and L fields read X^H alpha(X) alone, so a step pads for
-    beta only where a K field is evaluated: once per forward Euler K
-    substep, twice per SSP-RK2 one."""
+def _stencil_calls(monkeypatch, name, stencils):
+    """Names of the ``XGrid`` stencil methods among ``stencils`` that one
+    step of the scheme calls, in order."""
     calls = []
 
     def counting(stencil):
@@ -781,9 +780,27 @@ def test_ptd_advection_pads_only_for_its_k_field(monkeypatch, name, evaluations)
             return stencil(self, u)
         return wrapper
 
-    for stencil in ("beta", "stencils"):
+    for stencil in stencils:
         monkeypatch.setattr(XGrid, stencil, counting(getattr(XGrid, stencil)))
     spec = parse_scheme_name(name).spec
     state = init_lowrank(np.random.default_rng(6).standard_normal((_NX, _NV)), 3)
     step(spec, state, _vdisc_for(name), _GRID, 1e-2)
+    return calls
+
+
+@pytest.mark.parametrize("name,evaluations", [("hyp-ptd-lie-fe", 1),
+                                              ("hyp-ptd-strang-rk2", 4)])
+def test_ptd_advection_pads_only_for_its_k_field(monkeypatch, name, evaluations):
+    """PtD's S and L fields read X^H alpha(X) alone, so a step pads for
+    beta only where a K field is evaluated: once per forward Euler K
+    substep, twice per SSP-RK2 one."""
+    calls = _stencil_calls(monkeypatch, name, ("beta", "stencils"))
     assert calls == ["stencils"] * evaluations
+
+
+@pytest.mark.parametrize("name", [name for name in _LOW_RANK_SCHEMES
+                                  if name.startswith("par-")])
+def test_diffusion_steps_form_no_alpha(monkeypatch, name):
+    """Diffusion reads X^H beta(X) alone, so a parabolic step never applies
+    alpha, neither alone nor through the shared-pad stencil pair."""
+    assert _stencil_calls(monkeypatch, name, ("alpha", "stencils")) == []
