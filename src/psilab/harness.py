@@ -854,36 +854,175 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-#: Most rows one ``write_contour_csv`` string covers; bounds its memory.
-_CSV_BLOCK_ROWS = 1024
+#: Table rows one ``write_contour_csv`` block formats. A block holds a few
+#: hundred bytes per row and costs a fixed number of numpy calls.
+_CSV_BLOCK_ROWS = 2048
+
+# ``%.17g`` of a finite x with 1e-4 <= |x| < 1e16 is fixed notation: the 17
+# digits of N = round-half-even(|x| * 10**(16 - k)), k the decimal exponent,
+# with the point after digit k (k >= 0) or behind "0." and -k - 1 zeros
+# (k < 0), then trailing zeros and a bare point dropped. N is computed
+# exactly: 10**q is a double for q <= 22, and Dekker's product (a Veltkamp
+# split) gives |x| * 10**q = p + e with p its rounded double and e the exact
+# error. p >= 1e16 > 2**53 is an even integer, so N = p + rint(e).
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo, each half with at most 26 significant bits."""
+    c = a * _VELTKAMP
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**q) for q in range(23)])
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+
+
+def _words(chars) -> np.ndarray:
+    """One uint32 per four bytes, the bytes in memory order."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each 4-digit group 0000..9999: its ASCII word and its number of
+    trailing zero digits (4 for 0000)."""
+    chars = np.empty((10,) * 4 + (4,), np.uint8)
+    zeros = 0
+    for j in range(4):  # digit j of the group varies along axis j
+        digit = np.arange(10).reshape((10,) + (1,) * (3 - j))
+        chars[..., j] = digit + 48
+        zeros = (digit == 0) * (1 + zeros)
+    return _words(chars), zeros.astype(np.int8).ravel()
+
+
+_QUAD, _QUAD_ZEROS = _quad_tables()
+
+# Text is assembled from 4-byte words, 11 per value, and the kept bytes are
+# selected by a mask. With F = "000" + the 17 digits (F[3 + i] is digit i):
+#   word 0      "-0." and digit 0            bytes 0-3
+#   words 1-4   digits 1-16                  bytes 4-19 (digit i at 3 + i)
+#   word 5      F[0:4] if k < 0, else "."    bytes 20-23
+#   words 6-9   digits 1-16 again            bytes 24-39 (F[j] at 20 + j)
+#   word 10     the separator                byte 40
+# k >= 0 keeps digits 0..k (bytes 3..3+k), then the point and the fraction
+# F[k+4:], which is non-empty unless every fraction digit is zero. k < 0
+# keeps "0." and F[k+4:]: -k - 1 zeros, then the digits.
+_LEAD = _words(np.frombuffer(b"".join(b"-0.%d" % d for d in range(10)), np.uint8))
+_DOT = _words(np.frombuffer(b".   ", np.uint8))[0]
+_SEPS = _words(np.frombuffer(b",   ,   \n   ", np.uint8))
+_ROW_BYTES = 44
+_SEP_BYTE = 40
+
+
+def _layout_masks() -> np.ndarray:
+    """Kept bytes of a value's row by code: ((k + 4) * 17 + trailing zeros)
+    * 2 + sign for -4 <= k <= 15, then +-0, then text of length 0..40."""
+    k = np.arange(-4, 16)[:, None, None, None]
+    zeros = np.arange(17)[None, :, None, None]
+    sign = np.arange(2)[None, None, :, None]
+    b = np.arange(_ROW_BYTES)
+    end = _SEP_BYTE - zeros
+    fraction = (b >= 24 + k) & (b < end)
+    fixed = np.where(k < 0, (b == 1) | (b == 2) | fraction,
+                     ((b >= 3) & (b < 4 + k)) | ((b == 20) & (24 + k < end)) | fraction)
+    fixed = fixed | ((b == 0) & (sign == 1)) | (b == _SEP_BYTE)
+    zero = ((b == 0) & (np.arange(2)[:, None] == 1)) | (b == 1) | (b == _SEP_BYTE)
+    text = (b < np.arange(_SEP_BYTE + 1)[:, None]) | (b == _SEP_BYTE)
+    return np.concatenate([np.broadcast_to(fixed, (20, 17, 2, _ROW_BYTES)).reshape(-1, _ROW_BYTES),
+                           zero, text])
+
+
+_LAYOUTS = _layout_masks()
+_ZERO_LAYOUT = 20 * 17 * 2
+_TEXT_LAYOUT = _ZERO_LAYOUT + 2
+
+
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**(16 - k) = p + e exactly (Dekker's product)."""
+    q = 16 - k
+    p = x * _POW10[q]
+    xh, xl = _veltkamp_split(x)
+    bh, bl = _POW10_HI[q], _POW10_LO[q]
+    return p, xl * bl - (((p - xh * bh) - xl * bh) - xh * bl)
+
+
+def _divmod(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.divmod does not use numpy's fast division by a scalar; // does.
+    q = a // d
+    return q, a - q * d
+
+
+def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For 1e-4 <= x < 1e16: the decimal exponent k of x rounded to 17
+    digits, and those digits as the groups 1 + 4 + 4 + 4 + 4."""
+    k = np.floor(np.log10(x)).astype(np.intp)
+    p, e = _scaled(x, k)
+    # log10 can miss k by one next to a power of ten; p + e is exact, so
+    # these comparisons with 1e16 and 1e17 find every miss.
+    low = (p - 1e16) + e < 0
+    high = (p - 1e17) + e >= 0
+    miss = np.flatnonzero(low | high)
+    if len(miss):
+        k[miss] += high[miss].astype(np.intp) - low[miss]
+        p[miss], e[miss] = _scaled(x[miss], k[miss])
+    # n < 10**17: rounding up to 10**(k + 1) needs x within 5e-18 of it,
+    # relatively, from below, and no double in the window is (the doubles
+    # nearest 1e-3, 1e-2 and 1e-1 lie above them).
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    head, tail = _divmod(n, 10**8)
+    d0, middle = _divmod(head, 10**8)
+    return (k, d0, *_divmod(middle, 10**4), *_divmod(tail, 10**4))
+
+
+def _fixed_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows and layout codes of ``values`` in fixed notation, valid where
+    the returned mask is set."""
+    sign = np.signbit(values)
+    x = np.abs(values)
+    fixed = (x >= 1e-4) & (x < 1e16)
+    x[~fixed] = 2.0  # any value inside the window
+    k, d0, *groups = _digit_groups(x)
+    g1, g2, g3, g4 = groups
+    z = _QUAD_ZEROS
+    zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
+    layout = ((k + 4) * 17 + zeros) * 2 + sign
+    rows = np.empty((len(values), 11), np.uint32)
+    rows[:, 0] = _LEAD[d0]
+    rows[:, 5] = np.where(k < 0, _QUAD[d0], _DOT)
+    for j, group in enumerate(groups, 1):
+        rows[:, j] = rows[:, j + 5] = _QUAD[group]
+    rows[:, 10] = seps
+    return rows.view(np.uint8), layout, fixed
+
+
+def _g17_block(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The bytes of ``format(v, ".17g")`` for each value, each followed by
+    the first byte of its separator word."""
+    chars, layout, fixed = _fixed_rows(values, seps)
+    other = np.flatnonzero(~fixed)
+    if len(other):
+        zero = values[other] == 0
+        layout[other[zero]] = _ZERO_LAYOUT + np.signbit(values[other[zero]])
+        other = other[~zero]
+    if len(other):
+        texts = [format(v, ".17g").encode() for v in values[other].tolist()]
+        chars[other, :_SEP_BYTE] = np.frombuffer(
+            b"".join(t.ljust(_SEP_BYTE) for t in texts), np.uint8).reshape(-1, _SEP_BYTE)
+        layout[other] = _TEXT_LAYOUT + np.array([len(t) for t in texts])
+    return chars[np.take(_LAYOUTS, layout, axis=0)]
 
 
 def write_contour_csv(path: str, table: np.ndarray) -> None:
-    """Write (Y, mu, h) rows, one string per run of consecutive rows sharing Y.
-
-    A run's Y is formatted once, and its mu column once for as long as the
-    next runs repeat it; one ``%`` over a ``%.17g`` template then fills in
-    the run's h values. Runs longer than ``_CSV_BLOCK_ROWS`` are written in
-    pieces of that many rows. Y and mu are compared bit for bit, so 0.0 and
-    -0.0 stay apart, and the bytes equal those of per-value ``.17g``
-    formatting.
-    """
+    """Write the (Y, mu, h) rows of ``table``, ``_CSV_BLOCK_ROWS`` at a time;
+    the bytes equal per-value ``format(v, ".17g")``."""
     table = np.asarray(table, dtype=float)
-    y_bits = table[:, 0].view(np.int64)
-    cuts = np.flatnonzero(y_bits[1:] != y_bits[:-1]) + 1
-    bounds = [0, *cuts.tolist(), len(table)] if len(table) else [0]
-    mu_bytes = None
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("Y,mu,h\n")
-        for start, stop in zip(bounds, bounds[1:]):
-            for lo in range(start, stop, _CSV_BLOCK_ROWS):
-                hi = min(lo + _CSV_BLOCK_ROWS, stop)
-                run_bytes = table[lo:hi, 1].tobytes()
-                if run_bytes != mu_bytes:
-                    mu_bytes = run_bytes
-                    mu_lines = [f",{mu:.17g},%.17g\n" for mu in table[lo:hi, 1].tolist()]
-                y = _fmt(table[lo, 0])
-                handle.write((y + y.join(mu_lines)) % tuple(table[lo:hi, 2].tolist()))
+    seps = np.tile(_SEPS, _CSV_BLOCK_ROWS)
+    with open(path, "wb") as handle:
+        handle.write(b"Y,mu,h\n")
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            values = table[lo:lo + _CSV_BLOCK_ROWS].ravel()
+            handle.write(_g17_block(values, seps[:len(values)]))
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

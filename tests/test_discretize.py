@@ -231,19 +231,36 @@ def test_nodal_points_must_be_distinct():
     assert build_nodal(constant, [0.5, np.nan]).size == 2  # one NaN is distinct
 
 
-def test_import_and_a_nodal_build_leave_numpy_ma_unloaded():
-    """``np.unique`` imports numpy.ma; neither the package import nor the
-    first velocity operator build may reach it."""
-    probe = (
-        "import sys\n"
-        "import psilab\n"
-        "from psilab.discretize import build_nodal, coefficient_from_name, gauss_legendre_points\n"
-        "build_nodal(coefficient_from_name('linear'), gauss_legendre_points(8))\n"
-        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
-    )
+def _numpy_modules_after(*lines):
+    """Run ``lines`` in a fresh interpreter; whether numpy and numpy.ma were
+    imported by then."""
+    probe = "\n".join(["import sys", *lines,
+                       "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)"])
     src = os.path.dirname(os.path.dirname(psilab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stdout.split() == ["True", "False"]
+    return done.stdout.split()
+
+
+def test_import_and_a_nodal_build_leave_numpy_ma_unloaded():
+    """``np.unique`` imports numpy.ma; neither the package import nor the
+    first velocity operator build may reach it."""
+    assert _numpy_modules_after(
+        "import psilab",
+        "from psilab.discretize import build_nodal, coefficient_from_name, gauss_legendre_points",
+        "build_nodal(coefficient_from_name('linear'), gauss_legendre_points(8))",
+    ) == ["True", "False"]
+
+
+def test_a_contour_csv_write_leaves_numpy_ma_unloaded(tmp_path):
+    """Nor may the contour CSV writer, on a table with zeros, fixed-notation
+    values and an ``inf`` pole row."""
+    assert _numpy_modules_after(
+        "from psilab.amplification import contour_grid",
+        "from psilab.harness import parse_scheme_name, write_contour_csv",
+        "table = contour_grid(parse_scheme_name('par-dtp-lie-theta1').surface, 3, 3, 1.0)",
+        f"write_contour_csv({str(tmp_path / 'c.csv')!r}, table)",
+    ) == ["True", "False"]
+    assert "1,0.5,inf" in (tmp_path / "c.csv").read_text(encoding="utf-8").splitlines()

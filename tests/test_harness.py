@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from psilab.harness import (
 )
 from psilab.amplification import PoleError, contour_grid, h_parabolic_surface
 from psilab.discretize import build_xgrid
-from psilab.harness import _worst_mode_indices
+from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode_indices
 
 _MINIMAL = """
 equation = hyperbolic
@@ -442,20 +443,62 @@ def test_contour_csv_matches_per_value_formatting(tmp_path, table):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def _assert_contour_csv_matches(tmp_path, values):
+    """``values``, padded with 1.0 to whole rows, written as a table."""
+    values = np.concatenate([np.asarray(values, dtype=float), np.ones(-len(values) % 3)])
+    table = values.reshape(-1, 3)
+    write_contour_csv(str(tmp_path / "block.csv"), table)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _kernel_edge_values():
+    powers = [float(f"1e{k}") for k in range(-6, 18)]
+    values = [
+        *powers,
+        *np.nextafter(powers, 0.0).tolist(),
+        *np.nextafter(powers, math.inf).tolist(),
+        # Ties at the 18th digit, rounded half to even.
+        1234567890123456.25, 1234567890123456.75, 123456789012345.625, 123456789012345.875,
+        # Doubles below a power of ten that round up to it at 17 digits.
+        1e-14, 1e-70, 1e98,
+        # The fixed-notation window's edges.
+        1e-4, 1e16, np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0),
+        0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+        0.1, 0.5, 1.0 / 3.0, 2.5, 9999999999999998.0,
+    ]
+    return values + [-v for v in values]
+
+
+def test_contour_csv_kernel_edge_values(tmp_path):
+    # No double in the window [1e-4, 1e16) rounds up to the next power of
+    # ten at 17 digits: the doubles nearest the powers inside lie above them.
+    assert all(Fraction(float(f"1e{k}")) >= Fraction(10) ** k for k in range(-4, 17))
+    _assert_contour_csv_matches(tmp_path, _kernel_edge_values())
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(min_value=1e-4, max_value=1e16), min_size=1, max_size=60),
+       st.booleans())
+def test_contour_csv_fixed_window_matches_per_value_formatting(tmp_path, values, negate):
+    _assert_contour_csv_matches(tmp_path, [-v for v in values] if negate else values)
+
+
 def _figure_table(scheme_name, mu_max):
     return contour_grid(parse_scheme_name(scheme_name).surface, 401, 401, mu_max)
 
 
 def _long_run_table(rows):
-    """One Y for every row, as ``psilab analyze --y-points 1`` writes."""
+    """One Y for every row, with random mu and h."""
     rng = np.random.default_rng(0)
     return np.column_stack([np.full(rows, 0.5), rng.random(rows), rng.random(rows)])
 
 
 def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
-    # Runs longer than one write's row cap, the second repeating the first's
-    # mu column, then a short run.
-    run = _long_run_table(2 * 1024 + 5)
+    # Runs across several block seams, the second repeating the first's mu
+    # column, then a short run.
+    run = _long_run_table(2 * _CSV_BLOCK_ROWS + 5)
     second = run.copy()
     second[:, 0] = -0.0
     table = np.vstack([run, second, [[1.0, 0.0, math.nan]] * 3])
@@ -475,7 +518,7 @@ def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name
 @pytest.mark.parametrize("shape", ["figure", "long-run"])
 def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
     # A 401 x 401 figure file is about 8 MB of text; the writer holds one
-    # Y-run of it at a time, and at most a fixed number of rows of a long run.
+    # block of _CSV_BLOCK_ROWS rows of it at a time.
     if shape == "figure":
         _, scheme_name, mu_max = FIGURE_GRIDS[0]
         table = _figure_table(scheme_name, mu_max)
