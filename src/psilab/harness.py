@@ -858,13 +858,14 @@ def _fmt(value: float) -> str:
 #: hundred bytes per row and costs a fixed number of numpy calls.
 _CSV_BLOCK_ROWS = 2048
 
-# ``%.17g`` of a finite x with 1e-4 <= |x| < 1e16 is fixed notation: the 17
-# digits of N = round-half-even(|x| * 10**(16 - k)), k the decimal exponent,
-# with the point after digit k (k >= 0) or behind "0." and -k - 1 zeros
-# (k < 0), then trailing zeros and a bare point dropped. N is computed
-# exactly: 10**q is a double for q <= 22, and Dekker's product (a Veltkamp
-# split) gives |x| * 10**q = p + e with p its rounded double and e the exact
-# error. p >= 1e16 > 2**53 is an even integer, so N = p + rint(e).
+# ``%.17g`` of x with 1e-4 <= x < 1e16 is fixed notation: the 17 digits of
+# N = round-half-even(x * 10**(16 - k)), k the decimal exponent, with the
+# point after digit k (k >= 0) or behind "0." and -k - 1 zeros (k < 0), then
+# trailing zeros and a bare point dropped. N is computed exactly: 10**q is a
+# double for q <= 22, and Dekker's product (with a Veltkamp split) gives
+# x * 10**q = p + e, p the rounded double and e its exact error. p >= 1e16 >
+# 2**53 is an even integer, so N = p + rint(e). Every other value, negatives
+# and zeros included, is written by ``format`` itself.
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
@@ -900,7 +901,7 @@ _QUAD, _QUAD_ZEROS = _quad_tables()
 
 # Text is assembled from 4-byte words, 11 per value, and the kept bytes are
 # selected by a mask. With F = "000" + the 17 digits (F[3 + i] is digit i):
-#   word 0      "-0." and digit 0            bytes 0-3
+#   word 0      " 0." and digit 0            bytes 0-3
 #   words 1-4   digits 1-16                  bytes 4-19 (digit i at 3 + i)
 #   word 5      F[0:4] if k < 0, else "."    bytes 20-23
 #   words 6-9   digits 1-16 again            bytes 24-39 (F[j] at 20 + j)
@@ -908,7 +909,7 @@ _QUAD, _QUAD_ZEROS = _quad_tables()
 # k >= 0 keeps digits 0..k (bytes 3..3+k), then the point and the fraction
 # F[k+4:], which is non-empty unless every fraction digit is zero. k < 0
 # keeps "0." and F[k+4:]: -k - 1 zeros, then the digits.
-_LEAD = _words(np.frombuffer(b"".join(b"-0.%d" % d for d in range(10)), np.uint8))
+_LEAD = _words(np.frombuffer(b"".join(b" 0.%d" % d for d in range(10)), np.uint8))
 _DOT = _words(np.frombuffer(b".   ", np.uint8))[0]
 _SEPS = _words(np.frombuffer(b",   ,   \n   ", np.uint8))
 _ROW_BYTES = 44
@@ -916,26 +917,20 @@ _SEP_BYTE = 40
 
 
 def _layout_masks() -> np.ndarray:
-    """Kept bytes of a value's row by code: ((k + 4) * 17 + trailing zeros)
-    * 2 + sign for -4 <= k <= 15, then +-0, then text of length 0..40."""
-    k = np.arange(-4, 16)[:, None, None, None]
-    zeros = np.arange(17)[None, :, None, None]
-    sign = np.arange(2)[None, None, :, None]
+    """Kept bytes of a value's row by code: (k + 4) * 17 + trailing zeros
+    for -4 <= k <= 15, then text of length 0..40."""
+    k = np.arange(-4, 16)[:, None, None]
+    end = _SEP_BYTE - np.arange(17)[:, None]  # after the trailing zeros
     b = np.arange(_ROW_BYTES)
-    end = _SEP_BYTE - zeros
     fraction = (b >= 24 + k) & (b < end)
     fixed = np.where(k < 0, (b == 1) | (b == 2) | fraction,
                      ((b >= 3) & (b < 4 + k)) | ((b == 20) & (24 + k < end)) | fraction)
-    fixed = fixed | ((b == 0) & (sign == 1)) | (b == _SEP_BYTE)
-    zero = ((b == 0) & (np.arange(2)[:, None] == 1)) | (b == 1) | (b == _SEP_BYTE)
-    text = (b < np.arange(_SEP_BYTE + 1)[:, None]) | (b == _SEP_BYTE)
-    return np.concatenate([np.broadcast_to(fixed, (20, 17, 2, _ROW_BYTES)).reshape(-1, _ROW_BYTES),
-                           zero, text])
+    text = b < np.arange(_SEP_BYTE + 1)[:, None]
+    return np.concatenate([fixed.reshape(-1, _ROW_BYTES), text]) | (b == _SEP_BYTE)
 
 
 _LAYOUTS = _layout_masks()
-_ZERO_LAYOUT = 20 * 17 * 2
-_TEXT_LAYOUT = _ZERO_LAYOUT + 2
+_TEXT_LAYOUT = 20 * 17
 
 
 def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -976,17 +971,14 @@ def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _fixed_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows and layout codes of ``values`` in fixed notation, valid where
-    the returned mask is set."""
-    sign = np.signbit(values)
-    x = np.abs(values)
-    fixed = (x >= 1e-4) & (x < 1e16)
-    x[~fixed] = 2.0  # any value inside the window
-    k, d0, *groups = _digit_groups(x)
+    """The row bytes and layout codes of ``values`` in fixed notation, valid
+    where the returned mask is set. Its temporaries end with the call."""
+    fixed = (values >= 1e-4) & (values < 1e16)
+    k, d0, *groups = _digit_groups(np.where(fixed, values, 2.0))  # 2.0: any in the window
     g1, g2, g3, g4 = groups
     z = _QUAD_ZEROS
     zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
-    layout = ((k + 4) * 17 + zeros) * 2 + sign
+    layout = (k + 4) * 17 + zeros
     rows = np.empty((len(values), 11), np.uint32)
     rows[:, 0] = _LEAD[d0]
     rows[:, 5] = np.where(k < 0, _QUAD[d0], _DOT)
@@ -1001,10 +993,6 @@ def _g17_block(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
     the first byte of its separator word."""
     chars, layout, fixed = _fixed_rows(values, seps)
     other = np.flatnonzero(~fixed)
-    if len(other):
-        zero = values[other] == 0
-        layout[other[zero]] = _ZERO_LAYOUT + np.signbit(values[other[zero]])
-        other = other[~zero]
     if len(other):
         texts = [format(v, ".17g").encode() for v in values[other].tolist()]
         chars[other, :_SEP_BYTE] = np.frombuffer(
