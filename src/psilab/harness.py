@@ -885,19 +885,23 @@ def _words(chars) -> np.ndarray:
     return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     """For each 4-digit group 0000..9999: its ASCII word and its number of
-    trailing zero digits (4 for 0000)."""
+    trailing zero digits (4 for 0000). Built on first use, read-only."""
     chars = np.empty((10,) * 4 + (4,), np.uint8)
-    zeros = 0
+    zeros = np.int8(0)
     for j in range(4):  # digit j of the group varies along axis j
-        digit = np.arange(10).reshape((10,) + (1,) * (3 - j))
-        chars[..., j] = digit + 48
-        zeros = (digit == 0) * (1 + zeros)
-    return _words(chars), zeros.astype(np.int8).ravel()
+        digit = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+        chars[..., j] = digit
+        zeros = (digit == 48) * (1 + zeros)
+    return _read_only(_words(chars)), _read_only(zeros.ravel())
 
-
-_QUAD, _QUAD_ZEROS = _quad_tables()
 
 # Text is assembled from 4-byte words, 11 per value, and the kept bytes are
 # selected by a mask. With F = "000" + the 17 digits (F[3 + i] is digit i):
@@ -916,9 +920,11 @@ _ROW_BYTES = 44
 _SEP_BYTE = 40
 
 
+@lru_cache(maxsize=None)
 def _layout_masks() -> np.ndarray:
     """Kept bytes of a value's row by code: (k + 4) * 17 + trailing zeros
-    for -4 <= k <= 15, then text of length 0..40."""
+    for -4 <= k <= 15, then text of length 0..40. Built on first use,
+    read-only."""
     k = np.arange(-4, 16)[:, None, None]
     end = _SEP_BYTE - np.arange(17)[:, None]  # after the trailing zeros
     b = np.arange(_ROW_BYTES)
@@ -926,10 +932,9 @@ def _layout_masks() -> np.ndarray:
     fixed = np.where(k < 0, (b == 1) | (b == 2) | fraction,
                      ((b >= 3) & (b < 4 + k)) | ((b == 20) & (24 + k < end)) | fraction)
     text = b < np.arange(_SEP_BYTE + 1)[:, None]
-    return np.concatenate([fixed.reshape(-1, _ROW_BYTES), text]) | (b == _SEP_BYTE)
+    return _read_only(np.concatenate([fixed.reshape(-1, _ROW_BYTES), text]) | (b == _SEP_BYTE))
 
 
-_LAYOUTS = _layout_masks()
 _TEXT_LAYOUT = 20 * 17
 
 
@@ -972,18 +977,19 @@ def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _fixed_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row bytes and layout codes of ``values`` in fixed notation, valid
-    where the returned mask is set. Its temporaries end with the call."""
+    where the returned mask is set. Its temporaries are freed on return,
+    before the block's byte mask is built."""
     fixed = (values >= 1e-4) & (values < 1e16)
     k, d0, *groups = _digit_groups(np.where(fixed, values, 2.0))  # 2.0: any in the window
     g1, g2, g3, g4 = groups
-    z = _QUAD_ZEROS
+    quad, z = _quad_tables()
     zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
     layout = (k + 4) * 17 + zeros
     rows = np.empty((len(values), 11), np.uint32)
     rows[:, 0] = _LEAD[d0]
-    rows[:, 5] = np.where(k < 0, _QUAD[d0], _DOT)
+    rows[:, 5] = np.where(k < 0, quad[d0], _DOT)
     for j, group in enumerate(groups, 1):
-        rows[:, j] = rows[:, j + 5] = _QUAD[group]
+        rows[:, j] = rows[:, j + 5] = quad[group]
     rows[:, 10] = seps
     return rows.view(np.uint8), layout, fixed
 
@@ -998,7 +1004,7 @@ def _g17_block(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
         chars[other, :_SEP_BYTE] = np.frombuffer(
             b"".join(t.ljust(_SEP_BYTE) for t in texts), np.uint8).reshape(-1, _SEP_BYTE)
         layout[other] = _TEXT_LAYOUT + np.array([len(t) for t in texts])
-    return chars[np.take(_LAYOUTS, layout, axis=0)]
+    return chars[np.take(_layout_masks(), layout, axis=0)]
 
 
 def write_contour_csv(path: str, table: np.ndarray) -> None:
