@@ -12,17 +12,9 @@ from .amplification import (
     AmpQuery,
     BoundaryResult,
     PoleError,
-    amp_full_hyperbolic,
     amp_p1_p2_p3,
     contour_grid,
     find_boundary,
-    g_parabolic,
-    h_dtp_lie,
-    h_dtp_strang_rk2,
-    h_full_fe,
-    h_parabolic_surface,
-    h_ptd_lie,
-    h_ptd_strang_rk2,
     mode_multiplier,
     stability_surface,
 )
@@ -61,7 +53,6 @@ from .integrators import (
     SchemeSpec,
     StepReport,
     init_lowrank,
-    orthonormality_residual,
     reconstruct,
     step,
 )

@@ -6,17 +6,19 @@ gives two views of it:
 
 * ``mode_multiplier``: the exact complex factor for a signed Courant number,
   cross-checked elsewhere against the production steppers.
-* stability surfaces (``stability_surface``, ``h_*``): the squared modulus
-  as a function of Y = 1 - cos(theta) in [0, 2] and mu = |nu| >= 0, the
-  objects the stability boundaries and contour grids are built from.
-  Stability of a scheme means every surface value stays at or below one.
+* ``stability_surface``: the squared modulus as a function of
+  Y = 1 - cos(theta) in [0, 2] and mu = |nu| >= 0, the object the stability
+  boundaries and contour grids are built from. Stability of a scheme means
+  every surface value stays at or below one.
+
+``amp_p1_p2_p3`` gives the substep factors of the hyperbolic Lie products.
 
 A diffusion multiplier is a product of implicit factors, each a quotient
 (numerator, denominator) read off the ``SchemeSpec``. One pole rule covers
 them all: a factor whose denominator lies within _POLE_TOL * (1 + |x|) of
 zero is at its resonance. There the array path (surfaces, worst-mode scan)
-yields inf, kept as a sentinel in grid output, and the scalar path
-(``mode_multiplier``, ``g_parabolic``) raises PoleError.
+yields inf, kept as a sentinel in grid output, and ``mode_multiplier``
+raises PoleError.
 """
 
 from __future__ import annotations
@@ -33,17 +35,9 @@ __all__ = [
     "BoundaryResult",
     "PoleError",
     "Y_GRID",
-    "amp_full_hyperbolic",
     "amp_p1_p2_p3",
     "contour_grid",
     "find_boundary",
-    "g_parabolic",
-    "h_dtp_lie",
-    "h_dtp_strang_rk2",
-    "h_full_fe",
-    "h_parabolic_surface",
-    "h_ptd_lie",
-    "h_ptd_strang_rk2",
     "mode_multiplier",
     "stability_surface",
 ]
@@ -103,10 +97,6 @@ class AmpQuery:
             raise ValueError(f"z_sign must be +-1, got {self.z_sign}")
 
     @property
-    def mu(self) -> float:
-        return abs(self.nu)
-
-    @property
     def z(self) -> float:
         return self.z_sign * math.sqrt(self.y * (2.0 - self.y))
 
@@ -118,11 +108,6 @@ class AmpQuery:
 def _p1(y, nu, z):
     """Upwind Euler factor: forward K/L substeps and the full scheme."""
     return (1.0 - abs(nu) * y) - 1j * nu * z
-
-
-def amp_full_hyperbolic(q: AmpQuery) -> complex:
-    """One-step factor of the full-tensor upwind forward Euler scheme."""
-    return _p1(q.y, q.nu, q.z)
 
 
 def amp_p1_p2_p3(q: AmpQuery) -> tuple[complex, complex, complex, complex]:
@@ -175,9 +160,14 @@ def _parabolic_factors(spec: SchemeSpec, x):
     return [step, step, (1.0 + (1.0 - theta) * x, 1.0 - theta * x)]
 
 
-def _at_pole(den, x):
-    """The pole rule, on floats or arrays: |den| <= _POLE_TOL * (1 + |x|)."""
-    return abs(den) <= _POLE_TOL * (1.0 + abs(x))
+def _parabolic_multiplier(spec: SchemeSpec, x):
+    """The diffusion multiplier at x = 2*Y*nu on floats or arrays, and
+    whether a factor sits at its pole there (the pole rule)."""
+    g, at_pole = 1.0, False
+    for num, den in _parabolic_factors(spec, x):
+        at_pole = at_pole | (abs(den) <= _POLE_TOL * (1.0 + abs(x)))
+        g = g * (num / den)
+    return g, at_pole
 
 
 def _multiplier(spec: SchemeSpec, y, nu, z):
@@ -185,89 +175,37 @@ def _multiplier(spec: SchemeSpec, y, nu, z):
     the stability surfaces and the worst-mode scan; inf at implicit poles."""
     if spec.equation == "hyperbolic":
         return _hyperbolic_multiplier(spec, y, nu, z)
-    x = 2.0 * y * nu
-    g, near = 1.0, False
-    for num, den in _parabolic_factors(spec, x):
-        near = near | _at_pole(den, x)
-        g = g * (num / den)
-    return np.where(near, np.inf, g)
-
-
-def _parabolic_scalar(spec: SchemeSpec, x: float) -> float:
-    """The diffusion multiplier in float arithmetic; PoleError at a pole."""
-    g = 1.0
-    for num, den in _parabolic_factors(spec, x):
-        if _at_pole(den, x):
-            raise PoleError(x, repr(spec))
-        g = g * (num / den)
-    return g
+    g, at_pole = _parabolic_multiplier(spec, 2.0 * y * nu)
+    return np.where(at_pole, np.inf, g)
 
 
 def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
-    """Exact one-step factor of the scheme on the rank-1 Fourier probe."""
+    """Exact one-step factor on the rank-1 Fourier probe; PoleError at a pole."""
     if spec.equation == "hyperbolic":
         return complex(_hyperbolic_multiplier(spec, q.y, q.nu, q.z))
-    return complex(_parabolic_scalar(spec, 2.0 * q.y * q.nu))
-
-
-#: Diffusion variant names and the (approach, splitting, substep) of each.
-_VARIANTS = {
-    "full_theta": ("full_tensor", "lie", "theta"),
-    "dtp_lie_theta": ("dtp", "lie", "theta"),
-    "hybrid": ("dtp", "lie", "hybrid_be_fe_be"),
-    "strang_cn": ("dtp", "strang", "crank_nicolson"),
-}
-
-
-def _variant_spec(variant: str, theta: float | None) -> SchemeSpec:
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown parabolic variant '{variant}'")
-    return SchemeSpec("parabolic", *_VARIANTS[variant], theta)
-
-
-def g_parabolic(x: float, variant: str, theta: float | None = None) -> float:
-    """One-step multiplier of the diffusion schemes at x = 2*Y*nu (signed).
-
-    Variants: ``full_theta`` (single theta step), ``dtp_lie_theta`` (Lie
-    splitting with theta substeps; identical for both low-rank formulations),
-    ``hybrid`` (backward-forward-backward Euler), ``strang_cn`` (Strang with
-    Crank-Nicolson substeps, which telescopes to one Crank-Nicolson step).
-    Theta is given exactly for the theta variants, in [0, 1].
-    """
-    return _parabolic_scalar(_variant_spec(variant, theta), x)
+    x = 2.0 * q.y * q.nu
+    try:
+        g, at_pole = _parabolic_multiplier(spec, x)
+    except ZeroDivisionError:  # a denominator of exactly zero is at the pole
+        at_pole = True
+    if at_pole:
+        raise PoleError(x, repr(spec))
+    return complex(g)
 
 
 # ---------------------------------------------------------------------------
 # stability surfaces: h(Y, mu) = |g(Y, nu = mu, z = sqrt(Y (2 - Y)))|^2
 
 
-def _surface(g):
+def stability_surface(spec: SchemeSpec):
+    """The (Y, mu) stability surface of a scheme, inf at implicit poles."""
+
     def surface(y, mu):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.abs(g(y, mu, np.sqrt(y * (2.0 - y)))) ** 2
+            return np.abs(_multiplier(spec, y, mu, np.sqrt(y * (2.0 - y)))) ** 2
 
     return surface
-
-
-def stability_surface(spec: SchemeSpec):
-    """The (Y, mu) stability surface of a scheme, inf at implicit poles."""
-    return _surface(lambda y, nu, z: _multiplier(spec, y, nu, z))
-
-
-def h_parabolic_surface(variant: str, theta: float | None = None):
-    """The (Y, mu) stability surface of a diffusion multiplier variant."""
-    return stability_surface(_variant_spec(variant, theta))
-
-
-#: Hyperbolic surfaces: full-tensor upwind forward Euler, then the Lie
-#: (forward Euler substeps) and Strang (Heun substeps) splittings in the
-#: discretize-then-project and project-then-discretize formulations.
-h_full_fe = stability_surface(SchemeSpec("hyperbolic", "full_tensor"))
-h_dtp_lie = stability_surface(SchemeSpec("hyperbolic", "dtp"))
-h_ptd_lie = stability_surface(SchemeSpec("hyperbolic", "ptd"))
-h_dtp_strang_rk2 = stability_surface(SchemeSpec("hyperbolic", "dtp", "strang", "ssp_rk2"))
-h_ptd_strang_rk2 = stability_surface(SchemeSpec("hyperbolic", "ptd", "strang", "ssp_rk2"))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +225,13 @@ class BoundaryResult:
     evaluations: int
 
 
-def _sweep(surface, mu: float) -> np.ndarray:
+def _sweep_on(surface, ys: np.ndarray, mu: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = np.asarray(surface(Y_GRID, mu), dtype=float)
+        return np.asarray(surface(ys, mu), dtype=float)
+
+
+def _sweep(surface, mu: float) -> np.ndarray:
+    h = _sweep_on(surface, Y_GRID, mu)
     return np.where(np.isnan(h), np.inf, h)
 
 
@@ -300,6 +242,12 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
     unconditional. Otherwise bisection on [0, cap] narrows the boundary to
     ``tol``; the worst Y is read off the unstable bracket edge. A cap and
     tolerance that 60 halvings cannot bring together raise ValueError.
+
+    "At or below one" means within _STABLE_SLACK, which admits the slight
+    growth of the hyperbolic Lie surfaces just above mu* = 1/3 near Y ~ 1e-6.
+    Below a ``tol`` of about 1e-6 their brackets exclude 1/3 (hyp-dtp-lie-fe
+    at tol 1e-9: [0.3333341032, 0.3333341042]); the diffusion rows stay
+    bracketed. The exact boundaries planned in ROADMAP.md remove the slack.
     """
     if not 0.0 < mu_cap < math.inf:
         raise ValueError(f"mu_cap must be finite and positive, got {mu_cap}")
@@ -357,8 +305,3 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.nd
     for j, mu in enumerate(mus):
         out[:, j, 2] = _sweep_on(surface, ys, float(mu))
     return out.reshape(-1, 3)
-
-
-def _sweep_on(surface, ys: np.ndarray, mu: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.asarray(surface(ys, mu), dtype=float)

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n-x", type=int, default=64)
     sweep.add_argument("--n-v", type=int, default=4)
     sweep.add_argument("--rank", type=int, default=None,
-                       help="default: the probe's minimum faithful rank")
+                       help="default: 2 for hyperbolic schemes, 1 for parabolic")
 
     verify = sub.add_parser("verify", help="stepper vs closed-form oracle check")
     verify.add_argument("--scheme", default=None,

@@ -38,13 +38,7 @@ from .discretize import (
     gauss_legendre_points,
     mode_coords,
 )
-from .integrators import (
-    LowRankState,
-    SchemeSpec,
-    orthonormality_residual,
-    reconstruct,
-    step,
-)
+from .integrators import LowRankState, SchemeSpec, reconstruct, step
 from .linalg import SingularMatrixError, frobenius_norm, qr_thin
 
 __all__ = [
@@ -445,12 +439,6 @@ def complex_mode_probes(ms, ks, vdisc: VDiscretization, grid: XGrid) -> LowRankS
     return LowRankState(X=x, S=s, V=v)
 
 
-def complex_mode_state(m: int, k: int, vdisc: VDiscretization, grid: XGrid) -> LowRankState:
-    """Rank-1 probe x_m v_k^T as a complex factored state."""
-    probe = complex_mode_probes([m], [k], vdisc, grid)
-    return LowRankState(X=probe.X[0], S=probe.S[0], V=probe.V[0])
-
-
 def measured_mode_multipliers(
     spec: SchemeSpec, ms, ks, vdisc: VDiscretization, grid: XGrid, dt: float
 ) -> np.ndarray:
@@ -464,13 +452,6 @@ def measured_mode_multipliers(
         u1 = reconstruct(step(spec, probes, vdisc, grid, dt).state_after)
     u0, u1 = u0.reshape(len(u0), -1), u1.reshape(len(u1), -1)
     return np.vecdot(u0, u1) / np.vecdot(u0, u0)
-
-
-def measured_mode_multiplier(
-    spec: SchemeSpec, m: int, k: int, vdisc: VDiscretization, grid: XGrid, dt: float
-) -> complex:
-    """One production step on the complex rank-1 probe, read off as a scalar."""
-    return complex(measured_mode_multipliers(spec, [m], [k], vdisc, grid, dt)[0])
 
 
 def expected_mode_multiplier(
@@ -823,7 +804,7 @@ def run_simulation(cfg: ExperimentConfig) -> list[RunRecord]:
     start = time.perf_counter()
 
     def record(index: int, norm: float) -> RunRecord:
-        ortho = 0.0 if dense else orthonormality_residual(current)
+        ortho = 0.0 if dense else current.ortho_residual
         return RunRecord(index, norm, ortho, time.perf_counter() - start)
 
     records = [record(0, frobenius_norm(current if dense else state.S))]

@@ -55,7 +55,6 @@ __all__ = [
     "full_step_hyperbolic",
     "full_step_parabolic",
     "init_lowrank",
-    "orthonormality_residual",
     "reconstruct",
     "step",
 ]
@@ -196,11 +195,6 @@ class StepReport:
 
 def reconstruct(state: LowRankState) -> np.ndarray:
     return state.X @ state.S @ state.V.conj().mT
-
-
-def orthonormality_residual(state: LowRankState) -> float:
-    """Largest Frobenius deviation of X^H X and V^H V from the identity."""
-    return state.ortho_residual
 
 
 def init_lowrank(u0, rank: int) -> LowRankState:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from psilab.amplification import g_parabolic, h_dtp_lie, h_ptd_lie
+from psilab.amplification import AmpQuery, mode_multiplier
 from psilab.discretize import mode_coords
 from psilab.harness import (
     ExperimentConfig,
@@ -18,7 +18,7 @@ from psilab.harness import (
     run_simulation,
     verify_report,
 )
-from psilab.integrators import init_lowrank, orthonormality_residual, reconstruct, step
+from psilab.integrators import init_lowrank, reconstruct, step
 from psilab.linalg import frobenius_norm, qr_thin, sym_eig
 from psilab.harness import build_vdisc
 from psilab.discretize import build_xgrid
@@ -183,7 +183,7 @@ def test_criterion_8_property_suites():
     worst_ortho = 0.0
     for _ in range(1000):
         state = step(spec, state, vdisc, grid, dt).state_after
-        worst_ortho = max(worst_ortho, orthonormality_residual(state))
+        worst_ortho = max(worst_ortho, state.ortho_residual)
     assert worst_ortho <= 1e-10
 
     # mode algebra for every mode of several grids
@@ -193,18 +193,24 @@ def test_criterion_8_property_suites():
             assert abs(mc.z**2 - mc.y * (2.0 - mc.y)) <= 1e-12
 
     # Strang Crank-Nicolson composite telescopes to plain Crank-Nicolson
+    # (the multiplier at x = 2*Y*nu, read at Y = 1/2 and nu = x)
     xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.geomspace(50.0, 1e6, 200)])
+    strang_cn = parse_scheme_name("par-strang-cn").spec
     worst_cn = max(
-        abs(g_parabolic(float(x), "strang_cn") - (1.0 - 0.5 * x) / (1.0 + 0.5 * x)) for x in xs
+        abs(mode_multiplier(strang_cn, AmpQuery(0.5, float(x)))
+            - (1.0 - 0.5 * x) / (1.0 + 0.5 * x))
+        for x in xs
     )
     assert worst_cn <= 1e-12
 
     # monotone decay of both Lie surfaces in Y for mu <= 1/3, 1e-3 grids
     y = np.arange(0.0, 2.0 + 1e-3, 1e-3)
+    h_dtp = parse_scheme_name("hyp-dtp-lie-fe").surface
+    h_ptd = parse_scheme_name("hyp-ptd-lie-fe").surface
     for mu in np.arange(0.0, 1.0 / 3.0 + 1e-3, 1e-3):
         mu = min(float(mu), 1.0 / 3.0)
-        assert (np.diff(h_dtp_lie(y, mu)) <= 1e-12).all()
-        assert (np.diff(h_ptd_lie(y, mu)) <= 1e-12).all()
+        assert (np.diff(h_dtp(y, mu)) <= 1e-12).all()
+        assert (np.diff(h_ptd(y, mu)) <= 1e-12).all()
 
     elapsed = time.perf_counter() - start
     _report(

@@ -11,20 +11,14 @@ from psilab.amplification import (
     AmpQuery,
     PoleError,
     Y_GRID,
-    amp_full_hyperbolic,
     amp_p1_p2_p3,
     contour_grid,
     find_boundary,
-    g_parabolic,
-    h_dtp_lie,
-    h_dtp_strang_rk2,
-    h_full_fe,
-    h_parabolic_surface,
-    h_ptd_lie,
-    h_ptd_strang_rk2,
     mode_multiplier,
+    stability_surface,
 )
-from psilab.harness import BOUNDARY_SUITE, FIGURE_GRIDS, parse_scheme_name
+from psilab.harness import FIGURE_GRIDS, VERIFY_SCHEMES, parse_scheme_name
+from psilab.integrators import SchemeSpec
 from reference_kernels import reference_contour_grid
 
 _Y = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -33,22 +27,35 @@ _SIGN = st.sampled_from([1.0, -1.0])
 
 _Y_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 2.0, 4001)])
 
+_FULL_FE = SchemeSpec("hyperbolic", "full_tensor")
+
+
+def _theta(approach, theta):
+    return SchemeSpec("parabolic", approach, "lie", "theta", theta)
+
+
+def _diffusion(spec, x):
+    """The diffusion multiplier at x = 2*Y*nu, read at Y = 1/2 and nu = x."""
+    return mode_multiplier(spec, AmpQuery(0.5, x))
+
 
 def test_full_multiplier_is_one_at_y_zero():
     for nu in (-2.0, 0.0, 0.4, 1.0, 3.0):
-        assert amp_full_hyperbolic(AmpQuery(0.0, nu, 1.0)) == 1.0
+        assert mode_multiplier(_FULL_FE, AmpQuery(0.0, nu, 1.0)) == 1.0
 
 
 def test_full_multiplier_neutral_at_unit_cfl():
     # upwinding at |nu| = 1 shifts the grid exactly: |G| = 1 for every mode
     for y in np.linspace(0.0, 2.0, 21):
         for nu in (1.0, -1.0):
-            assert abs(amp_full_hyperbolic(AmpQuery(y, nu, 1.0))) == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(h_full_fe(np.linspace(0, 2, 101), 1.0), 1.0, atol=1e-14)
+            g = mode_multiplier(_FULL_FE, AmpQuery(y, nu, 1.0))
+            assert abs(g) == pytest.approx(1.0, abs=1e-14)
+    h_full = stability_surface(_FULL_FE)
+    np.testing.assert_allclose(h_full(np.linspace(0, 2, 101), 1.0), 1.0, atol=1e-14)
 
 
 def test_full_multiplier_vanishes_at_half_cfl_grid_mode():
-    assert amp_full_hyperbolic(AmpQuery(2.0, 0.5, 1.0)) == 0.0
+    assert mode_multiplier(_FULL_FE, AmpQuery(2.0, 0.5, 1.0)) == 0.0
 
 
 @settings(deadline=None, max_examples=150)
@@ -66,14 +73,16 @@ def test_substep_factor_algebra(y, nu, sign):
 
 
 def test_dtp_lie_surface_values():
-    assert h_dtp_lie(2.0, 1.0 / 3.0) == pytest.approx(25.0 / 729.0, rel=1e-13)
-    assert h_dtp_lie(0.1, 0.4) == pytest.approx(0.952**2 * 1.112, rel=1e-12)
-    assert h_dtp_lie(0.1, 0.4) == pytest.approx(1.00781, abs=1e-5)
+    h_dtp = parse_scheme_name("hyp-dtp-lie-fe").surface
+    assert h_dtp(2.0, 1.0 / 3.0) == pytest.approx(25.0 / 729.0, rel=1e-13)
+    assert h_dtp(0.1, 0.4) == pytest.approx(0.952**2 * 1.112, rel=1e-12)
+    assert h_dtp(0.1, 0.4) == pytest.approx(1.00781, abs=1e-5)
 
 
 def test_ptd_lie_surface_values():
-    assert h_ptd_lie(1.0, 1.0 / 3.0) == pytest.approx(500.0 / 729.0, rel=1e-13)
-    surf = h_ptd_lie(_Y_GRID, 1.0 / 3.0)
+    h_ptd = parse_scheme_name("hyp-ptd-lie-fe").surface
+    assert h_ptd(1.0, 1.0 / 3.0) == pytest.approx(500.0 / 729.0, rel=1e-13)
+    surf = h_ptd(_Y_GRID, 1.0 / 3.0)
     assert float(surf.max()) == pytest.approx(1.0, abs=1e-12)
     assert float(surf[0]) == 1.0  # the maximum sits at Y = 0
 
@@ -84,16 +93,19 @@ def test_lie_surfaces_match_factor_products(y, nu, sign):
     p1, p2_dtp, p2_ptd, p3_ptd = amp_p1_p2_p3(AmpQuery(y, nu, sign))
     mu = abs(nu)
     scale = max(1.0, abs(p1) ** 4 * abs(p2_dtp) ** 2)
-    assert h_dtp_lie(y, mu) == pytest.approx(abs(p1) ** 4 * abs(p2_dtp) ** 2, abs=1e-12 * scale)
+    h_dtp = parse_scheme_name("hyp-dtp-lie-fe").surface(y, mu)
+    assert h_dtp == pytest.approx(abs(p1) ** 4 * abs(p2_dtp) ** 2, abs=1e-12 * scale)
     ptd = abs(p1) ** 2 * (p2_ptd * p3_ptd).real ** 2
-    assert h_ptd_lie(y, mu) == pytest.approx(ptd, abs=1e-12 * max(1.0, ptd))
+    h_ptd = parse_scheme_name("hyp-ptd-lie-fe").surface(y, mu)
+    assert h_ptd == pytest.approx(ptd, abs=1e-12 * max(1.0, ptd))
 
 
-@pytest.mark.parametrize("name", BOUNDARY_SUITE)
+@pytest.mark.parametrize("name", VERIFY_SCHEMES)
 def test_surfaces_match_mode_multiplier(name):
     """Every registry surface is |mode_multiplier|^2 at nu = mu, z >= 0, and
     both place the implicit poles at the same Y (mu = 1/4 and 1/2 put the
-    backward Euler pole x = 1 on the grid)."""
+    backward Euler pole x = 1 on the grid): the surface is infinite where
+    mode_multiplier raises PoleError and finite wherever it returns."""
     info = parse_scheme_name(name)
     for mu in (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.866, 1.0, 2.0):
         surface = info.surface(Y_GRID, mu)
@@ -103,6 +115,7 @@ def test_surfaces_match_mode_multiplier(name):
             except PoleError:
                 assert not np.isfinite(h), (mu, y, h)
                 continue
+            assert np.isfinite(h), (mu, y, h)
             want = abs(g) ** 2
             assert abs(h - want) <= 1e-13 * max(abs(h), want), (mu, y, h, want)
 
@@ -111,8 +124,8 @@ def test_surfaces_match_mode_multiplier(name):
 @given(st.floats(min_value=0.0, max_value=1.0 / 3.0, allow_nan=False))
 def test_lie_surfaces_monotone_below_threshold(mu):
     y = np.arange(0.0, 2.0 + 1e-3, 1e-3)
-    for surf in (h_dtp_lie, h_ptd_lie):
-        vals = surf(y, mu)
+    for name in ("hyp-dtp-lie-fe", "hyp-ptd-lie-fe"):
+        vals = parse_scheme_name(name).surface(y, mu)
         assert (np.diff(vals) <= 1e-12).all()
         assert vals[0] == pytest.approx(1.0, abs=1e-14)
 
@@ -120,53 +133,58 @@ def test_lie_surfaces_monotone_below_threshold(mu):
 @settings(deadline=None, max_examples=30)
 @given(st.floats(min_value=1.0 / 3.0 + 1e-3, max_value=1.0, allow_nan=False))
 def test_lie_surfaces_unstable_above_threshold(mu):
-    assert float(h_dtp_lie(_Y_GRID, mu).max()) > 1.0
-    assert float(h_ptd_lie(_Y_GRID, mu).max()) > 1.0
+    assert float(parse_scheme_name("hyp-dtp-lie-fe").surface(_Y_GRID, mu).max()) > 1.0
+    assert float(parse_scheme_name("hyp-ptd-lie-fe").surface(_Y_GRID, mu).max()) > 1.0
 
 
 def test_strang_surfaces_onset():
-    assert float(h_dtp_strang_rk2(_Y_GRID, 0.86).max()) <= 1.0 + 1e-12
-    assert float(h_dtp_strang_rk2(_Y_GRID, 0.88).max()) > 1.0
-    assert float(h_ptd_strang_rk2(_Y_GRID, 1.99).max()) <= 1.0 + 1e-12
-    assert float(h_ptd_strang_rk2(_Y_GRID, 2.1).max()) > 1.0
+    h_dtp = parse_scheme_name("hyp-dtp-strang-rk2").surface
+    h_ptd = parse_scheme_name("hyp-ptd-strang-rk2").surface
+    assert float(h_dtp(_Y_GRID, 0.86).max()) <= 1.0 + 1e-12
+    assert float(h_dtp(_Y_GRID, 0.88).max()) > 1.0
+    assert float(h_ptd(_Y_GRID, 1.99).max()) <= 1.0 + 1e-12
+    assert float(h_ptd(_Y_GRID, 2.1).max()) > 1.0
 
 
 def test_strang_surfaces_equal_one_at_y_zero():
-    assert float(h_dtp_strang_rk2(np.array([0.0]), 0.7)[0]) == pytest.approx(1.0, abs=1e-14)
-    assert float(h_ptd_strang_rk2(np.array([0.0]), 1.5)[0]) == pytest.approx(1.0, abs=1e-14)
+    h_dtp = parse_scheme_name("hyp-dtp-strang-rk2").surface
+    h_ptd = parse_scheme_name("hyp-ptd-strang-rk2").surface
+    assert float(h_dtp(np.array([0.0]), 0.7)[0]) == pytest.approx(1.0, abs=1e-14)
+    assert float(h_ptd(np.array([0.0]), 1.5)[0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_parabolic_theta_multiplier_values():
     # forward Euler flips sign at x = 2, backward Euler halves at x = 1
-    assert g_parabolic(2.0, "full_theta", theta=0.0) == pytest.approx(-1.0)
-    assert g_parabolic(1.0, "full_theta", theta=1.0) == pytest.approx(0.5)
-    assert g_parabolic(1.0, "full_theta", theta=0.5) == pytest.approx(1.0 / 3.0)
+    assert _diffusion(_theta("full_tensor", 0.0), 2.0) == pytest.approx(-1.0)
+    assert _diffusion(_theta("full_tensor", 1.0), 1.0) == pytest.approx(0.5)
+    assert _diffusion(_theta("full_tensor", 0.5), 1.0) == pytest.approx(1.0 / 3.0)
 
 
 def test_parabolic_backward_euler_split_pole():
     with pytest.raises(PoleError):
-        g_parabolic(1.0, "dtp_lie_theta", theta=1.0)
+        _diffusion(_theta("dtp", 1.0), 1.0)
 
 
 def test_parabolic_split_neutral_points():
     # the split theta = 1 scheme returns to |G| = 1 at x = (sqrt5 - 1) / 2
     x_be = (np.sqrt(5.0) - 1.0) / 2.0
-    assert abs(g_parabolic(x_be, "dtp_lie_theta", theta=1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(_diffusion(_theta("dtp", 1.0), x_be)) == pytest.approx(1.0, abs=1e-12)
     x_fe = (1.0 + np.sqrt(5.0)) / 2.0
-    assert abs(g_parabolic(x_fe, "dtp_lie_theta", theta=0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(_diffusion(_theta("dtp", 0.0), x_fe)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hybrid_multiplier_decays_like_inverse_x():
-    assert g_parabolic(1e6, "hybrid") == pytest.approx(1e-6, rel=1e-5)
-    assert g_parabolic(0.0, "hybrid") == 1.0
+    hybrid = parse_scheme_name("par-hybrid").spec
+    assert _diffusion(hybrid, 1e6) == pytest.approx(1e-6, rel=1e-5)
+    assert _diffusion(hybrid, 0.0) == 1.0
     for x in (0.1, 1.0, 7.5, 4e3):
-        assert g_parabolic(x, "hybrid") == pytest.approx(1.0 / (1.0 + x), rel=1e-12)
+        assert _diffusion(hybrid, x) == pytest.approx(1.0 / (1.0 + x), rel=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_strang_cn_telescopes_to_plain_cn(x):
-    composite = g_parabolic(x, "strang_cn")
+    composite = _diffusion(parse_scheme_name("par-strang-cn").spec, x)
     plain = (1.0 - 0.5 * x) / (1.0 + 0.5 * x)
     assert composite == pytest.approx(plain, abs=1e-12)
 
@@ -177,7 +195,7 @@ def test_strang_cn_telescopes_to_plain_cn(x):
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_full_theta_stability_region(x, theta):
-    g = g_parabolic(x, "full_theta", theta=theta)
+    g = _diffusion(_theta("full_tensor", theta), x)
     if x * (1.0 - 2.0 * theta) <= 2.0:
         assert abs(g) <= 1.0 + 1e-12
     else:
@@ -240,7 +258,7 @@ def test_contour_grid_shape_and_corner():
 
 
 def test_contour_grid_marks_poles_infinite():
-    surf = h_parabolic_surface("dtp_lie_theta", 1.0)
+    surf = parse_scheme_name("par-dtp-lie-theta1").surface
     table = contour_grid(surf, 3, 3, 1.0)
     # x = 2 mu Y crosses the backward Euler pole x = 1 at (Y, mu) = (1, 1/2)
     hit = table[(table[:, 0] == 1.0) & (table[:, 1] == 0.5)]
@@ -271,23 +289,3 @@ def test_contour_grid_bitwise_matches_the_repeat_tile_table(name, mu_max, y_poin
     assert got.dtype == np.float64
     assert got.flags.c_contiguous and got.flags.writeable
     assert got.tobytes() == want.tobytes()
-
-
-_BAD_VARIANTS = [
-    ("bogus", None),
-    ("hybrid", 0.5),
-    ("strang_cn", 0.5),
-    ("full_theta", None),
-    ("dtp_lie_theta", None),
-    ("full_theta", -0.1),
-    ("dtp_lie_theta", 1.5),
-    ("dtp_lie_theta", math.nan),
-]
-
-
-@pytest.mark.parametrize("variant,theta", _BAD_VARIANTS)
-def test_parabolic_variant_rejects_bad_theta_pairing(variant, theta):
-    with pytest.raises(ValueError):
-        g_parabolic(0.5, variant, theta)
-    with pytest.raises(ValueError):
-        h_parabolic_surface(variant, theta)

@@ -43,7 +43,7 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import PoleError, contour_grid, h_parabolic_surface
+from psilab.amplification import PoleError, contour_grid
 from psilab.discretize import build_xgrid
 from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode_indices
 
@@ -379,7 +379,7 @@ def test_boundary_csv_format(tmp_path):
 
 
 def test_contour_csv_pole_sentinel(tmp_path):
-    table = contour_grid(h_parabolic_surface("dtp_lie_theta", 1.0), 3, 3, 1.0)
+    table = contour_grid(parse_scheme_name("par-dtp-lie-theta1").surface, 3, 3, 1.0)
     path = tmp_path / "c.csv"
     write_contour_csv(str(path), table)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -544,7 +544,7 @@ def test_figure_grids_hold_one_table_at_a_time(tmp_path):
 @pytest.mark.parametrize("mu_max", [math.inf, math.nan, -1.0])
 def test_contour_grid_rejects_mu_max(mu_max):
     with pytest.raises(ValueError, match="mu_max must be finite and positive"):
-        contour_grid(h_parabolic_surface("dtp_lie_theta", 1.0), 3, 3, mu_max)
+        contour_grid(parse_scheme_name("par-dtp-lie-theta1").surface, 3, 3, mu_max)
 
 
 @pytest.mark.parametrize("mu_max", ["inf", "nan", "-1"])
@@ -836,3 +836,26 @@ def test_cli_sweep_rows(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("  cfl = 0.3 ") and lines[1].endswith(" stable")
     assert lines[2].startswith("  cfl = 0.4 ") and lines[2].endswith(" GROWING")
+
+
+def test_benchmark_tracer_names_bind_and_unbind(monkeypatch):
+    """The benchmark's tracer (bench/tracing.py) wraps functions by attribute
+    name in psilab.integrators, psilab.harness and psilab.cli. Every name it
+    patches must exist, and uninstalling must put each original back."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import tracing
+
+    modules = (psilab.integrators, harness, psilab.cli)
+    before = [dict(vars(module)) for module in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(*modules)
+        patched = [(module, attr) for module, attr, _ in tracer._patches]
+        assert len(patched) == sum(len(table) for table in (
+            tracing._INTEGRATORS_WRAPS, tracing._HARNESS_WRAPS, tracing._CLI_WRAPS))
+        for module, attr in patched:
+            assert getattr(module, attr) is not before[modules.index(module)][attr], attr
+    finally:
+        tracer.uninstall()
+    for module, names in zip(modules, before):
+        assert all(vars(module)[attr] is value for attr, value in names.items()), module

@@ -1,6 +1,7 @@
 """Stepper behavior: retractions, exact mode closures, splitting order."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +15,9 @@ from psilab.harness import (
     ExperimentConfig,
     build_vdisc,
     complex_mode_probes,
-    complex_mode_state,
     derive_dt,
     expected_mode_multiplier,
-    measured_mode_multiplier,
+    measured_mode_multipliers,
     parabolic_mode_equivalence,
     parse_scheme_name,
     run_oracle_suite,
@@ -32,7 +32,6 @@ from psilab.integrators import (
     _VBasis,
     _XBasis,
     init_lowrank,
-    orthonormality_residual,
     reconstruct,
     step,
 )
@@ -51,6 +50,13 @@ _GRID = build_xgrid(_NX, 2.0 * np.pi / _NX)
 
 def _vdisc_for(name):
     return build_vdisc("linear" if name.startswith("hyp") else "square", "nodal", _NV)
+
+
+def _single_probe(m, k, vdisc, grid):
+    """The rank-1 probe x_m v_k^T as plain matrices: the stack of one that
+    complex_mode_probes builds, unstacked."""
+    probe = complex_mode_probes([m], [k], vdisc, grid)
+    return LowRankState(X=probe.X[0], S=probe.S[0], V=probe.V[0])
 
 
 @pytest.mark.parametrize("name", VERIFY_SCHEMES)
@@ -74,7 +80,7 @@ def test_init_lowrank_exact_on_low_rank_input():
     u0 = rng.standard_normal((_NX, 2)) @ rng.standard_normal((2, _NV))
     state = init_lowrank(u0, 2)
     np.testing.assert_allclose(reconstruct(state), u0, atol=1e-12)
-    assert orthonormality_residual(state) < 1e-13
+    assert state.ortho_residual < 1e-13
 
 
 def test_init_lowrank_completes_deficient_input():
@@ -84,13 +90,13 @@ def test_init_lowrank_completes_deficient_input():
     state = init_lowrank(u0, 3)
     assert state.X.shape == (_NX, 3) and state.V.shape == (_NV, 3)
     np.testing.assert_allclose(reconstruct(state), u0, atol=1e-13)
-    assert orthonormality_residual(state) < 1e-13
+    assert state.ortho_residual < 1e-13
 
 
 def test_init_lowrank_zero_matrix():
     state = init_lowrank(np.zeros((_NX, _NV)), 2)
     np.testing.assert_allclose(reconstruct(state), 0.0, atol=1e-15)
-    assert orthonormality_residual(state) < 1e-13
+    assert state.ortho_residual < 1e-13
 
 
 def test_step_report_norms_match_states():
@@ -118,14 +124,14 @@ def test_complex_mode_closure(name, m, k):
     dt = 0.2 * _GRID.dx / float(np.abs(vdisc.spectrum.eigenvalues).max())
     if spec.equation == "parabolic":
         dt *= _GRID.dx
-    measured = measured_mode_multiplier(spec, m, k, vdisc, _GRID, dt)
+    measured = complex(measured_mode_multipliers(spec, [m], [k], vdisc, _GRID, dt)[0])
     expected = expected_mode_multiplier(spec, m, k, vdisc, _GRID, dt)
     assert abs(measured - expected) < 1e-12
 
 
 def test_complex_mode_state_is_unit_rank_one():
     vdisc = _vdisc_for("hyp")
-    state = complex_mode_state(3, 1, vdisc, _GRID)
+    state = _single_probe(3, 1, vdisc, _GRID)
     assert state.S.shape == (1, 1)
     dense = reconstruct(state)
     assert np.linalg.matrix_rank(dense) == 1
@@ -143,7 +149,7 @@ def test_mode_probes_are_bitwise_the_fourier_probes(n_x):
     for i, (m, k) in enumerate(zip(ms.tolist(), ks.tolist())):
         x = (fourier_mode(m, n_x) / np.sqrt(n_x)).reshape(-1, 1)
         v = vdisc.spectrum.eigenvectors[:, k].astype(np.complex128).reshape(-1, 1)
-        single = complex_mode_state(m, k, vdisc, grid)
+        single = _single_probe(m, k, vdisc, grid)
         for state in (single, LowRankState(X=probes.X[i], S=probes.S[i], V=probes.V[i])):
             assert state.X.tobytes() == x.tobytes()
             assert state.V.tobytes() == v.tobytes()
@@ -179,7 +185,7 @@ def test_stacked_probes_step_like_single_probes(name, v_mode):
     report = step(spec, reconstruct(probes) if full else probes, vdisc, _GRID, dt)
     singles = []
     for m, k in zip(ms.tolist(), ks.tolist()):
-        state = complex_mode_state(m, k, vdisc, _GRID)
+        state = _single_probe(m, k, vdisc, _GRID)
         singles.append(step(spec, reconstruct(state) if full else state, vdisc, _GRID, dt))
     _assert_slices_close(_dense_after(spec, report),
                          np.stack([_dense_after(spec, r) for r in singles]))
@@ -411,7 +417,7 @@ def test_orthonormality_survives_many_steps():
     worst = 0.0
     for _ in range(300):
         state = step(spec, state, vdisc, _GRID, dt).state_after
-        worst = max(worst, orthonormality_residual(state))
+        worst = max(worst, state.ortho_residual)
     assert worst < 1e-12
 
 
@@ -425,6 +431,19 @@ def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(equation="hyperbolic", approach="dtp", splitting="strang",
                    substep="forward_euler")
+    # theta out of [0, 1] or nan, given to a substep without a weight, or
+    # missing from the theta substep
+    for bad in (
+        ("full_tensor", "lie", "theta", -0.1),
+        ("dtp", "lie", "theta", 1.5),
+        ("dtp", "lie", "theta", math.nan),
+        ("dtp", "lie", "hybrid_be_fe_be", 0.5),
+        ("dtp", "strang", "crank_nicolson", 0.5),
+        ("full_tensor", "lie", "theta", None),
+        ("dtp", "lie", "theta", None),
+    ):
+        with pytest.raises(ValueError, match="theta"):
+            SchemeSpec("parabolic", *bad)
 
 
 #: Every scheme SchemeSpec accepts among the axis values below.
