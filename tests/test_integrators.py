@@ -431,19 +431,22 @@ def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(equation="hyperbolic", approach="dtp", splitting="strang",
                    substep="forward_euler")
-    # theta out of [0, 1] or nan, given to a substep without a weight, or
-    # missing from the theta substep
-    for bad in (
-        ("full_tensor", "lie", "theta", -0.1),
-        ("dtp", "lie", "theta", 1.5),
-        ("dtp", "lie", "theta", math.nan),
-        ("dtp", "lie", "hybrid_be_fe_be", 0.5),
-        ("dtp", "strang", "crank_nicolson", 0.5),
-        ("full_tensor", "lie", "theta", None),
-        ("dtp", "lie", "theta", None),
-    ):
-        with pytest.raises(ValueError, match="theta"):
-            SchemeSpec("parabolic", *bad)
+
+
+# theta out of [0, 1] or nan, given to a substep without a weight, or
+# missing from the theta substep
+@pytest.mark.parametrize("approach,splitting,substep,theta", [
+    ("full_tensor", "lie", "theta", -0.1),
+    ("dtp", "lie", "theta", 1.5),
+    ("dtp", "lie", "theta", math.nan),
+    ("dtp", "lie", "hybrid_be_fe_be", 0.5),
+    ("dtp", "strang", "crank_nicolson", 0.5),
+    ("full_tensor", "lie", "theta", None),
+    ("dtp", "lie", "theta", None),
+])
+def test_scheme_spec_rejects_bad_theta(approach, splitting, substep, theta):
+    with pytest.raises(ValueError, match="theta"):
+        SchemeSpec("parabolic", approach, splitting, substep, theta)
 
 
 #: Every scheme SchemeSpec accepts among the axis values below.
