@@ -426,10 +426,13 @@ def complex_mode_probes(ms, ks, vdisc: VDiscretization, grid: XGrid) -> LowRankS
     leading axis, probe i on the pair (ms[i], ks[i]): x_m is Fourier mode m
     scaled to unit norm, v_k the k-th velocity eigenvector, S = sqrt(N_x)."""
     ms, ks = np.asarray(ms), np.asarray(ks)
+    if ms.shape != ks.shape:
+        raise ValueError(f"mode indices {ms.shape} and eigendirection indices {ks.shape} differ")
     n_x = grid.n_x
-    outside = (ms < 0) | (ms >= n_x)
-    if outside.any():
-        raise ValueError(f"mode indices {ms[outside].tolist()} outside [0, {n_x})")
+    for what, indices, n in (("mode", ms, n_x), ("eigendirection", ks, vdisc.size)):
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise ValueError(f"{what} indices {indices[outside].tolist()} outside [0, {n})")
     j = np.arange(n_x)
     # fourier_mode's phases in its operation order, so each probe is bitwise its mode
     modes = np.exp(2j * np.pi * ms[:, None] * j / n_x)
@@ -459,6 +462,8 @@ def expected_mode_multiplier(
 ) -> complex:
     """Closed-form multiplier at the signed Courant number of mode (m, k)."""
     coords = mode_coords(m, grid.n_x)
+    if not 0 <= k < vdisc.size:
+        raise ValueError(f"eigendirection index k={k} outside [0, {vdisc.size})")
     lam = float(vdisc.spectrum.eigenvalues[k])
     if spec.equation == "hyperbolic":
         nu = lam * dt / grid.dx

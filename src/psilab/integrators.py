@@ -52,8 +52,6 @@ __all__ = [
     "LowRankState",
     "SchemeSpec",
     "StepReport",
-    "full_step_hyperbolic",
-    "full_step_parabolic",
     "init_lowrank",
     "reconstruct",
     "step",
@@ -241,9 +239,17 @@ def init_lowrank(u0, rank: int) -> LowRankState:
 # right-hand sides
 
 
-def _diffusion(u, vdisc: VDiscretization, grid: XGrid):
-    """Central second-difference right-hand side on a dense slice."""
-    return (grid.beta(u) @ vdisc.coeff) / grid.dx**2
+def _upwind_flux(stencils, coeff, upwind, dx: float):
+    """y -> c (beta(y) upwind - alpha(y) coeff) with c = 1/(2 dx), where
+    ``stencils``(y) gives (alpha(y), beta(y)): the upwind advection flux of
+    the full-tensor step and of every K substep, and, with the projected
+    stencils X^H alpha(X) and X^H beta(X), of the dtp S and L substeps."""
+    c = 1.0 / (2.0 * dx)
+
+    def flux(y):
+        fa, fb = stencils(y)
+        return c * (fb @ upwind - fa @ coeff)
+    return flux
 
 
 def _projected_symmetric(v, mat) -> np.ndarray:
@@ -266,26 +272,6 @@ def _ssp_rk2(y, rhs, dt: float):
     stage1 = y + dt * rhs(y)
     stage2 = stage1 + dt * rhs(stage1)
     return 0.5 * (y + stage2)
-
-
-# ---------------------------------------------------------------------------
-# full-tensor reference schemes
-
-
-def full_step_hyperbolic(u, vdisc: VDiscretization, grid: XGrid, dt: float):
-    """Forward Euler step of the upwind full-tensor scheme."""
-    c = 1.0 / (2.0 * grid.dx)
-    fa, fb = grid.stencils(u)
-    return u + dt * (c * (fb @ vdisc.coeff_abs - fa @ vdisc.coeff))
-
-
-def full_step_parabolic(u, vdisc: VDiscretization, grid: XGrid, dt: float, theta: float):
-    """Theta-scheme step of the central full-tensor diffusion scheme."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    c = dt / grid.dx**2
-    rhs = u + (1.0 - theta) * dt * _diffusion(u, vdisc, grid)
-    return _implicit_solve(rhs, grid.beta_eig, vdisc.spectrum, c * theta)
 
 
 def _implicit_solve(rhs, left: Diagonalization, right, scale: float):
@@ -319,11 +305,12 @@ def _implicit_columns(rhs, op, dec, scale: float):
 # ---------------------------------------------------------------------------
 # projector-splitting engine
 
-#: Substep sequence of each splitting: (factor, fraction of dt). K and L
-#: substeps end in a QR retraction of their factor.
+#: Substep sequence of each splitting: (factor, signed fraction of dt). The
+#: core S substep runs backward in time, so its fractions are negative; K
+#: and L substeps end in a QR retraction of their factor.
 _SEQUENCES = {
-    "lie": (("K", 1.0), ("S", 1.0), ("L", 1.0)),
-    "strang": (("K", 0.5), ("S", 0.5), ("L", 1.0), ("S", 0.5), ("K", 0.5)),
+    "lie": (("K", 1.0), ("S", -1.0), ("L", 1.0)),
+    "strang": (("K", 0.5), ("S", -0.5), ("L", 1.0), ("S", -0.5), ("K", 0.5)),
 }
 
 
@@ -405,43 +392,36 @@ class _XBasis:
 
 
 def _hyperbolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
-    """Right-hand side of one advection substep, with c = 1/(2 dx).
+    """Right-hand side of one advection substep, forward in time, with
+    c = 1/(2 dx).
 
     dtp is the upwind flux on the reconstructed slice projected back, written
     on projected coefficients so the stencils only see N_x x r arrays:
     K' = c (beta(K) V^H|A|V - alpha(K) V^H A V), and for S and L the
     x-stencils enter as X^H alpha(X) and X^H beta(X) against S V^H A V,
     S V^H|A|V, L A and L |A|. ptd differs in one place: K is upwinded with
-    |V^T A V| instead of V^H|A|V, and S and L carry no upwind term. The
-    core substep runs backward in time.
+    |V^T A V| instead of V^H|A|V, and S and L carry no upwind term.
     """
     g, vd = xb.grid, vb.vdisc
-    c = 1.0 / (2.0 * g.dx)
     if factor == "K":
         if approach == "dtp":
-            coeff, upwind = vb.coeff, vb.coeff_abs
-        else:
-            coeff, upwind = vb.atil, vb.abs_atil
-        def flux(k):
-            fa, fb = g.stencils(k)
-            return c * (fb @ upwind - fa @ coeff)
-        return flux
+            return _upwind_flux(g.stencils, vb.coeff, vb.coeff_abs, g.dx)
+        return _upwind_flux(g.stencils, vb.atil, vb.abs_atil, g.dx)
     if approach == "dtp":
         calpha, cbeta = xb.cstencils
         if factor == "S":
             coeff, upwind = vb.coeff, vb.coeff_abs
-            return lambda s: c * (calpha @ s @ coeff - cbeta @ s @ upwind)
-        return lambda low: c * (cbeta @ low @ vd.coeff_abs - calpha @ low @ vd.coeff)
-    calpha = xb.calpha
-    if factor == "S":
-        atil = vb.atil
-        return lambda s: c * (calpha @ s @ atil)
-    return lambda low: -c * (calpha @ low @ vd.coeff)
+        else:
+            coeff, upwind = vd.coeff, vd.coeff_abs
+        return _upwind_flux(lambda y: (calpha @ y, cbeta @ y), coeff, upwind, g.dx)
+    c, calpha = 1.0 / (2.0 * g.dx), xb.calpha
+    coeff = vb.atil if factor == "S" else vd.coeff
+    return lambda y: -c * (calpha @ y @ coeff)
 
 
 def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
-    """Right-hand side of one diffusion substep, per unit dt/dx^2; the core
-    substep runs backward in time.
+    """Right-hand side of one diffusion substep, forward in time, per unit
+    dt/dx^2.
 
     dtp keeps the slice form on purpose: on projected coefficients it would
     be ptd's code, and the per-mode dtp/ptd comparison would check one path
@@ -458,9 +438,9 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
     if factor == "S":
         if approach == "dtp":
             vh = v.conj().mT
-            return lambda s: -(xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v)
+            return lambda s: xh @ (g.beta(x @ s @ vh) @ vd.coeff) @ v
         cbeta, atil = xb.cbeta, vb.atil
-        return lambda s: -(cbeta @ (s @ atil))
+        return lambda s: cbeta @ (s @ atil)
     if approach == "dtp":
         return lambda low: xh @ (g.beta(x @ low) @ vd.coeff)
     cbeta = xb.cbeta
@@ -468,7 +448,7 @@ def _parabolic_field(approach: str, factor: str, xb: _XBasis, vb: _VBasis):
 
 
 def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: float):
-    """One substep of length h with the scheme's substep integrator:
+    """One substep of signed length h with the scheme's substep integrator:
     forward Euler or SSP-RK2 (hyperbolic), theta or the hybrid's
     theta = 1, 0, 1 on K, S, L (parabolic)."""
     if spec.equation == "hyperbolic":
@@ -486,11 +466,10 @@ def _advance(spec: SchemeSpec, factor: str, xb: _XBasis, vb: _VBasis, y, h: floa
     if theta == 0.0:
         return y
     # Both formulations solve the projected system: K against the grid
-    # stencil, S and L against X^H beta X; the core substep runs backward.
+    # stencil, S and L against X^H beta X.
     left = xb.grid.beta_eig if factor == "K" else xb.cbeta_eig
     right = vb.vdisc.spectrum if factor == "L" else vb.tdec
-    scale = c * theta
-    return _implicit_solve(y, left, right, -scale if factor == "S" else scale)
+    return _implicit_solve(y, left, right, c * theta)
 
 
 def _psi_step(spec: SchemeSpec, state: LowRankState, vdisc, grid, dt: float) -> StepReport:
@@ -551,9 +530,16 @@ def step(
     if spec.approach == "full_tensor":
         u = np.asarray(current)
         if spec.equation == "hyperbolic":
-            after = full_step_hyperbolic(u, vdisc, grid, dt)
+            # forward Euler on the upwind flux
+            flux = _upwind_flux(grid.stencils, vdisc.coeff, vdisc.coeff_abs, grid.dx)
+            after = u + dt * flux(u)
         else:
-            after = full_step_parabolic(u, vdisc, grid, dt, spec.theta_value)
+            # theta scheme on the central diffusion flux
+            theta = spec.theta_value
+            after = _implicit_solve(
+                u + (1.0 - theta) * dt * ((grid.beta(u) @ vdisc.coeff) / grid.dx**2),
+                grid.beta_eig, vdisc.spectrum, dt / grid.dx**2 * theta,
+            )
         return StepReport(after, frobenius_norm(after), 0)
     if not isinstance(current, LowRankState):
         raise TypeError("low-rank schemes need a LowRankState")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from psilab.integrators import (
     _implicit_columns,
     _hyperbolic_field,
     _implicit_solve,
+    _parabolic_field,
     _VBasis,
     _XBasis,
     init_lowrank,
@@ -154,8 +156,16 @@ def test_mode_probes_are_bitwise_the_fourier_probes(n_x):
             assert state.X.tobytes() == x.tobytes()
             assert state.V.tobytes() == v.tobytes()
             assert state.S.tobytes() == np.array([[np.sqrt(n_x)]], dtype=complex).tobytes()
-    with pytest.raises(ValueError, match="outside"):
-        complex_mode_probes([0, n_x], [0, 0], vdisc, grid)
+    for bad_ms, bad_ks, named in (([0, n_x], [0, 0], f"[{n_x}]"), ([0, 1], [0, -1], "[-1]"),
+                                  ([0, 1], [3, 0], "[3]")):
+        with pytest.raises(ValueError, match=rf"{re.escape(named)} outside"):
+            complex_mode_probes(bad_ms, bad_ks, vdisc, grid)
+    spec = parse_scheme_name("hyp-dtp-lie-fe").spec
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"k={k} outside"):
+            expected_mode_multiplier(spec, 0, k, vdisc, grid, 0.1)
+    with pytest.raises(ValueError, match="differ"):
+        complex_mode_probes([0, 1], [0], vdisc, grid)
 
 
 def _dense_after(spec, report):
@@ -359,6 +369,17 @@ def _one_step_gap(low_name, full_name, coeff, dt, u0):
     a = reconstruct(step(low, state, vdisc, grid, dt).state_after)
     b = step(full, u0.copy(), vdisc, grid, dt).state_after
     return frobenius_norm(a - b)
+
+
+@pytest.mark.parametrize("splitting", sorted(integrators._SEQUENCES))
+def test_splitting_fractions_sum_to_one_step(splitting):
+    """K and L advance by +dt in total and the core S substep by -dt; Strang
+    reads the same reversed."""
+    sequence = integrators._SEQUENCES[splitting]
+    totals = {factor: math.fsum(f for name, f in sequence if name == factor) for factor in "KSL"}
+    assert totals == {"K": 1.0, "S": -1.0, "L": 1.0}
+    if splitting == "strang":
+        assert sequence == sequence[::-1]
 
 
 @pytest.mark.parametrize("low", ["hyp-dtp-lie-fe", "hyp-ptd-lie-fe"])
@@ -621,26 +642,41 @@ def test_fourier_implicit_solve_reports_a_zero_symbol():
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic dtp on projected coefficients
+# substep fields on projected coefficients
 
 
-def _slice_flux(u, vdisc, grid):
-    """The upwind full-tensor flux of the dense slices u, with the dense
-    stencil matrices."""
-    c = 1.0 / (2.0 * grid.dx)
-    return c * (dense_beta(grid) @ u @ vdisc.coeff_abs - dense_alpha(grid) @ u @ vdisc.coeff)
-
-
-def _slice_dtp_field(factor, xb, vb):
-    """Reference dtp advection field: reconstruct the N_x x N_v slice, apply
-    the full flux, project back."""
+def _dense_field(equation, approach, factor, xb, vb):
+    """Reference field of one substep, forward in time, from the dense
+    stencil matrices Ad and Bd. dtp: the full-tensor right-hand side on the
+    reconstructed N_x x N_v slice, projected back. ptd: the reduced
+    equations on At = V^T A V, with Ad and Bd acting on K and X^T Ad X and
+    X^T Bd X on S and L; only K is upwinded, with |At|."""
     g, vd, x, v = xb.grid, vb.vdisc, xb.x, vb.v
-    vh, xh = v.conj().mT, x.conj().mT
+    ad, bd = dense_alpha(g), dense_beta(g)
+    c = 1.0 / (2.0 * g.dx)
+    if approach == "dtp":
+        vh, xh = v.conj().mT, x.conj().mT
+        if equation == "hyperbolic":
+            def full(u):
+                return c * (bd @ u @ vd.coeff_abs - ad @ u @ vd.coeff)
+        else:
+            def full(u):
+                return bd @ u @ vd.coeff
+        if factor == "K":
+            return lambda k: full(k @ vh) @ v
+        if factor == "S":
+            return lambda s: xh @ full(x @ s @ vh) @ v
+        return lambda low: xh @ full(x @ low)
+    at = v.mT @ vd.coeff @ v
+    if factor != "K":
+        ad, bd = x.mT @ ad @ x, x.mT @ bd @ x
+    coeff = vd.coeff if factor == "L" else at
+    if equation == "parabolic":
+        return lambda y: bd @ y @ coeff
     if factor == "K":
-        return lambda k: _slice_flux(k @ vh, vd, g) @ v
-    if factor == "S":
-        return lambda s: -(xh @ _slice_flux(x @ s @ vh, vd, g) @ v)
-    return lambda low: xh @ _slice_flux(x @ low, vd, g)
+        abs_at = reference_matrix_abs(at)
+        return lambda k: c * (bd @ k @ abs_at - ad @ k @ at)
+    return lambda y: -c * (ad @ y @ coeff)
 
 
 def _random_frame(rng, shape, kind):
@@ -656,26 +692,38 @@ def _random(rng, shape, kind):
 
 
 _FIELD_GRIDS = {n_x: build_xgrid(n_x, 2.0 * np.pi / n_x) for n_x in (3, 4, 64, 1024)}
+_FIELDS = {"hyperbolic": _hyperbolic_field, "parabolic": _parabolic_field}
 
 
 @pytest.mark.parametrize("lead", [(), (2, 3)])
 @pytest.mark.parametrize("n_v", [1, 16])
 @pytest.mark.parametrize("n_x", [3, 4, 64, 1024])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_dtp_advection_field_is_the_projected_slice_flux(kind, n_x, n_v, lead):
-    """dtp's K, S and L fields on projected coefficients equal the slice
-    form c(beta(KV^H)|A| - alpha(KV^H)A)V, -X^H flux(X S V^H) V and
-    X^H flux(X L)."""
+@pytest.mark.parametrize("equation,approach,kind", [
+    # ptd rejects a genuinely complex V, so its frames are real
+    ("hyperbolic", "dtp", "real"), ("hyperbolic", "dtp", "complex"),
+    ("hyperbolic", "ptd", "real"),
+    ("parabolic", "dtp", "real"), ("parabolic", "dtp", "complex"),
+    ("parabolic", "ptd", "real"),
+])
+def test_substep_fields_are_the_dense_stencil_forms(equation, approach, kind, n_x, n_v, lead):
+    """Every K, S and L field on projected coefficients equals its form on
+    the dense stencil matrices (``_dense_field``) on random rank-r frames,
+    so the order of the r x r products in each field is checked too."""
     rng = np.random.default_rng(n_x * 100 + n_v)
-    grid, vdisc = _FIELD_GRIDS[n_x], build_vdisc("linear", "modal", n_v)
+    coefficient = "linear" if equation == "hyperbolic" else "square"
+    grid, vdisc = _FIELD_GRIDS[n_x], build_vdisc(coefficient, "modal", n_v)
     r = min(3, n_x, n_v)
     xb = _XBasis(_random_frame(rng, (*lead, n_x, r), kind), grid)
     vb = _VBasis(_random_frame(rng, (*lead, n_v, r), kind), vdisc)
     inputs = {"K": (*lead, n_x, r), "S": (*lead, r, r), "L": (*lead, r, n_v)}
+    if (equation, approach, r) == ("hyperbolic", "ptd", 1):
+        # x^T alpha(x) = 0 for a real x, so the S and L fields vanish and
+        # both sides are roundoff of opposite signs
+        del inputs["S"], inputs["L"]
     for factor, shape in inputs.items():
         y = _random(rng, shape, kind)
-        got = _hyperbolic_field("dtp", factor, xb, vb)(y)
-        want = _slice_dtp_field(factor, xb, vb)(y)
+        got = _FIELDS[equation](approach, factor, xb, vb)(y)
+        want = _dense_field(equation, approach, factor, xb, vb)(y)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), factor
 
@@ -724,7 +772,7 @@ def test_dtp_advection_steps_a_general_complex_state(monkeypatch, name):
 
     def slice_field(approach, factor, xb, vb):
         assert approach == "dtp"
-        return _slice_dtp_field(factor, xb, vb)
+        return _dense_field("hyperbolic", "dtp", factor, xb, vb)
 
     monkeypatch.setattr(integrators, "_hyperbolic_field", slice_field)
     want = reconstruct(step(spec, state, vdisc, grid, dt).state_after)
