@@ -136,20 +136,24 @@ def _cmd_sweep(args) -> int:
         cfls = [round(ref + d, 4) for d in (-0.02, -0.01, 0.0, 0.01, 0.02)]
     rank = args.rank if args.rank is not None else (2 if hyperbolic else 1)
 
-    print(f"{args.scheme}: worst-mode sweep, {args.steps} steps, N_x = {args.n_x}")
-    for cfl in cfls:
-        cfg = ExperimentConfig(
+    # Every config is checked before anything is printed or marched.
+    configs = [
+        ExperimentConfig(
             scheme=info.spec,
             n_x=args.n_x, n_v=args.n_v, rank=rank, cfl=cfl, steps=args.steps,
             coefficient="linear" if hyperbolic else "square",
             initial_data="worst_mode",
         )
+        for cfl in cfls
+    ]
+    print(f"{args.scheme}: worst-mode sweep, {args.steps} steps, N_x = {args.n_x}")
+    for cfg in configs:
         records = run_simulation(cfg)
         initial = records[0].frobenius
         final = records[-1].frobenius / initial
         peak = max(r.frobenius for r in records) / initial
         verdict = "stable" if stability_verdict(records) else "GROWING"
-        print(f"  cfl = {cfl:<8g} final/initial = {final:<12.6g} "
+        print(f"  cfl = {cfg.cfl:<8g} final/initial = {final:<12.6g} "
               f"peak/initial = {peak:<12.6g} {verdict}")
     return 0
 

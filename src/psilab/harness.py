@@ -901,7 +901,7 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 # keeps "0." and F[k+4:]: -k - 1 zeros, then the digits.
 _LEAD = _words(np.frombuffer(b"".join(b" 0.%d" % d for d in range(10)), np.uint8))
 _DOT = _words(np.frombuffer(b".   ", np.uint8))[0]
-_SEPS = _words(np.frombuffer(b",   ,   \n   ", np.uint8))
+_COMMA, _NEWLINE = _words(np.frombuffer(b",   \n   ", np.uint8))
 _ROW_BYTES = 44
 _SEP_BYTE = 40
 
@@ -909,16 +909,16 @@ _SEP_BYTE = 40
 @lru_cache(maxsize=None)
 def _layout_masks() -> np.ndarray:
     """Kept bytes of a value's row by code: (k + 4) * 17 + trailing zeros
-    for -4 <= k <= 15, then text of length 0..40. Built on first use,
-    read-only."""
+    for -4 <= k <= 15, then ``_TEXT_LAYOUT`` for text that ``format`` wrote,
+    whose pad bytes are NUL. Built on first use, read-only."""
     k = np.arange(-4, 16)[:, None, None]
     end = _SEP_BYTE - np.arange(17)[:, None]  # after the trailing zeros
     b = np.arange(_ROW_BYTES)
     fraction = (b >= 24 + k) & (b < end)
     fixed = np.where(k < 0, (b == 1) | (b == 2) | fraction,
                      ((b >= 3) & (b < 4 + k)) | ((b == 20) & (24 + k < end)) | fraction)
-    text = b < np.arange(_SEP_BYTE + 1)[:, None]
-    return _read_only(np.concatenate([fixed.reshape(-1, _ROW_BYTES), text]) | (b == _SEP_BYTE))
+    text = b < _SEP_BYTE
+    return _read_only(np.vstack([fixed.reshape(-1, _ROW_BYTES), text]) | (b == _SEP_BYTE))
 
 
 _TEXT_LAYOUT = 20 * 17
@@ -961,7 +961,7 @@ def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k, d0, *_divmod(middle, 10**4), *_divmod(tail, 10**4))
 
 
-def _fixed_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fixed_rows(values: np.ndarray, sep: np.uint32) -> tuple[np.ndarray, ...]:
     """The row bytes and layout codes of ``values`` in fixed notation, valid
     where the returned mask is set. Its temporaries are freed on return,
     before the block's byte mask is built."""
@@ -976,33 +976,89 @@ def _fixed_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, ...]:
     rows[:, 5] = np.where(k < 0, quad[d0], _DOT)
     for j, group in enumerate(groups, 1):
         rows[:, j] = rows[:, j + 5] = quad[group]
-    rows[:, 10] = seps
+    rows[:, 10] = sep
     return rows.view(np.uint8), layout, fixed
 
 
-def _g17_block(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """The bytes of ``format(v, ".17g")`` for each value, each followed by
-    the first byte of its separator word."""
-    chars, layout, fixed = _fixed_rows(values, seps)
+def _kernel_slots(values: np.ndarray, sep: np.uint32) -> np.ndarray:
+    """44-byte slots holding ``format(v, ".17g")`` of each value and then the
+    first byte of ``sep``, every other byte NUL."""
+    chars, layout, fixed = _fixed_rows(values, sep)
     other = np.flatnonzero(~fixed)
     if len(other):
         texts = [format(v, ".17g").encode() for v in values[other].tolist()]
         chars[other, :_SEP_BYTE] = np.frombuffer(
-            b"".join(t.ljust(_SEP_BYTE) for t in texts), np.uint8).reshape(-1, _SEP_BYTE)
-        layout[other] = _TEXT_LAYOUT + np.array([len(t) for t in texts])
-    return chars[np.take(_layout_masks(), layout, axis=0)]
+            b"".join(t.ljust(_SEP_BYTE, b"\0") for t in texts), np.uint8).reshape(-1, _SEP_BYTE)
+        layout[other] = _TEXT_LAYOUT
+    chars *= np.take(_layout_masks(), layout, axis=0)
+    return chars
+
+
+#: Up to about this many values ``format`` fills comma slots faster than
+#: the digit kernel, whose numpy calls cost as much for 4 values as for 64.
+_FEW_VALUES = 64
+
+
+def _comma_slots(values: np.ndarray) -> np.ndarray:
+    """Slots holding ``format(v, ".17g")`` of each value and then a comma,
+    every other byte NUL: ``_text_slots`` for a few values, else the digit
+    kernel's."""
+    return _text_slots(values) if len(values) <= _FEW_VALUES else _kernel_slots(values, _COMMA)
+
+
+def _text_slots(values: np.ndarray) -> np.ndarray:
+    """Slots holding ``format(v, ".17g")`` of each value and then a comma,
+    NUL-padded to the longest (at most 25 bytes)."""
+    texts = [format(v, ".17g").encode() + b"," for v in values.tolist()]
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         np.uint8).reshape(-1, width)
+
+
+def _mu_period(y_bits: np.ndarray, mu_bits: np.ndarray) -> int:
+    """The length p of the first run of equal Y, if p <= ``_CSV_BLOCK_ROWS``
+    and row i's mu equals row (i mod p)'s bit for bit (0.0 and -0.0 differ,
+    as do nan payloads); else 0. A Y-major lattice (``contour_grid``'s
+    tables) has this form."""
+    head = y_bits[:_CSV_BLOCK_ROWS + 1]
+    if not len(head):
+        return 0
+    p = int(np.argmax(head != head[0])) or len(head)
+    if p > _CSV_BLOCK_ROWS or len(mu_bits) % p:
+        return 0
+    return p if (mu_bits.reshape(-1, p) == mu_bits[:p]).all() else 0
 
 
 def write_contour_csv(path: str, table: np.ndarray) -> None:
     """Write the (Y, mu, h) rows of ``table``, ``_CSV_BLOCK_ROWS`` at a time;
-    the bytes equal per-value ``format(v, ".17g")``."""
+    the bytes equal per-value ``format(v, ".17g")``.
+
+    Each block's rows are gathered from NUL-padded tables of formatted
+    slots, and the NULs are dropped. Y is formatted once per run of equal Y
+    in a block; mu once per table when it repeats the first Y run's column
+    (``_mu_period``), else per block by the digit kernel; h per row by the
+    digit kernel."""
     table = np.asarray(table, dtype=float)
-    seps = np.tile(_SEPS, _CSV_BLOCK_ROWS)
+    y, mu, h = table.T
+    y_bits = y.view(np.int64)
+    period = _mu_period(y_bits, mu.view(np.int64))
+    if period:
+        mu_slots = _text_slots(mu[:period])
     with open(path, "wb") as handle:
         handle.write(b"Y,mu,h\n")
         for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-            values = table[lo:lo + _CSV_BLOCK_ROWS].ravel()
-            handle.write(_g17_block(values, seps[:len(values)]))
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            bits = y_bits[rows]
+            fresh = np.empty(len(bits), bool)  # row starts a run of equal Y
+            fresh[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+            chars = np.concatenate([
+                _comma_slots(y[rows][fresh]).take(np.cumsum(fresh) - 1, axis=0),
+                mu_slots.take(np.arange(lo, lo + len(bits)) % period, axis=0) if period
+                else _kernel_slots(mu[rows], _COMMA),
+                _kernel_slots(h[rows], _NEWLINE),
+            ], axis=1)
+            handle.write(chars[chars != 0])
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

@@ -492,6 +492,47 @@ def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def _lattice_table(run_length, dtype=float, first_mu=0.0):
+    """Three Y runs of ``run_length`` rows (the last two at -0.0 and 0.0),
+    each repeating one mu column that starts with ``first_mu`` and holds
+    values outside the digit kernel's window, and random h."""
+    rng = np.random.default_rng(run_length)
+    mu = rng.random(run_length) * 2.5
+    mu[:4] = (first_mu, -1.5, 1e-7, 3e20)
+    h = rng.random(3 * run_length) * 3.0
+    h[::97] = math.inf
+    h[1::89] = math.nan
+    table = np.column_stack([np.repeat([0.25, -0.0, 0.0], run_length), np.tile(mu, 3), h])
+    return table.astype(dtype)
+
+
+def _with_last_mu(table, value):
+    """``table`` with the first mu of its last run set to ``value``."""
+    table = table.copy()
+    table[2 * len(table) // 3, 1] = value
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    *(pytest.param(_lattice_table(n), id=f"runs-of-{n}") for n in (401, 2047, 2048, 2049)),
+    pytest.param(_with_last_mu(_lattice_table(401), -0.0), id="last-run-minus-zero"),
+    pytest.param(_with_last_mu(_lattice_table(401, first_mu=math.nan), -math.nan),
+                 id="last-run-minus-nan"),
+    pytest.param(np.empty((0, 3)), id="no-rows"),
+    pytest.param(_lattice_table(401, np.float32), id="float32"),
+    pytest.param(np.asfortranarray(_lattice_table(2049)), id="fortran-order"),
+    pytest.param(_lattice_table(401).reshape(3, 401, 3).transpose(1, 0, 2).reshape(-1, 3),
+                 id="mu-major"),
+])
+def test_contour_csv_lattices_across_block_seams(tmp_path, table):
+    # Runs of 2047-2049 rows end next to a block seam; a mu column that
+    # differs from the first run's only in its bits is not a lattice; a
+    # mu-major table starts a Y run on every row.
+    write_contour_csv(str(tmp_path / "block.csv"), table)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 @pytest.mark.parametrize("filename,scheme_name,mu_max", FIGURE_GRIDS)
 def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name, mu_max):
     table = _figure_table(scheme_name, mu_max)
@@ -578,6 +619,16 @@ def test_figure_grids(tmp_path):
     fig4 = np.loadtxt(paths[3], delimiter=",", skiprows=1)
     strip = fig4[fig4[:, 1] <= 2.0]
     assert float(strip[:, 2].max()) <= 1.0 + 1e-12
+
+
+def test_cli_analyze_defaults_write_the_figure_bytes(tmp_path):
+    # analyze and figures reach the contour writer from two commands.
+    filename, scheme_name, _ = FIGURE_GRIDS[0]
+    assert (filename, scheme_name) == ("fig1_dtp_lie.csv", "hyp-dtp-lie-fe")
+    out = tmp_path / "analyze.csv"
+    assert cli_main(["analyze", "--scheme", scheme_name, "--out", str(out)]) == 0
+    assert cli_main(["figures", "--outdir", str(tmp_path / "figs")]) == 0
+    assert out.read_bytes() == (tmp_path / "figs" / filename).read_bytes()
 
 
 def test_stability_verdict_slack():
@@ -825,6 +876,15 @@ def test_cli_overflowing_finite_cfl_is_a_numerical_failure(tmp_path, capsys):
                      "--steps", "5", "--n-x", "16"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: step 1 failed") for line in err)
+
+
+def test_cli_sweep_checks_every_cfl_before_marching(capsys):
+    code = cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--cfl", "0.3", "nan",
+                     "--steps", "300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cfl =" not in captured.out
+    assert captured.err == "error: cfl must be finite and nonnegative, got nan\n"
 
 
 def test_cli_sweep_rows(capsys):
