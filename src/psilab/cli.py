@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .amplification import contour_grid
 from .harness import (
@@ -31,12 +32,16 @@ from .harness import (
     write_boundary_csv,
     write_contour_csv,
     write_history_csv,
+    _worst_mode,
 )
 
 _ORACLE_BOUND = 1e-10
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it as
+    it was, so repeated ``main`` calls in one process share it."""
     parser = argparse.ArgumentParser(
         prog="psilab",
         description="Low-rank integrator stability laboratory.",
@@ -147,6 +152,11 @@ def _cmd_sweep(args) -> int:
         for cfl in cfls
     ]
     print(f"{args.scheme}: worst-mode sweep, {args.steps} steps, N_x = {args.n_x}")
+    scans = [_worst_mode(cfg) for cfg in configs]
+    if all(growth == 1.0 for _, _, growth in scans):
+        modes = ", ".join(sorted({f"({m}, {k})" for m, k, _ in scans}))
+        print(f"  note: no mode grows at these cfl values; every run marches the "
+              f"neutral mode {modes}, where |g| = 1")
     for cfg in configs:
         records = run_simulation(cfg)
         initial = records[0].frobenius

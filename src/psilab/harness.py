@@ -29,6 +29,7 @@ from .amplification import (
     stability_surface,
 )
 from .discretize import (
+    ModeCoordinates,
     VDiscretization,
     XGrid,
     build_modal,
@@ -464,14 +465,23 @@ def expected_mode_multiplier(
     coords = mode_coords(m, grid.n_x)
     if not 0 <= k < vdisc.size:
         raise ValueError(f"eigendirection index k={k} outside [0, {vdisc.size})")
+    return _closed_form(spec, coords, _courant_number(spec, k, vdisc, grid, dt))
+
+
+def _courant_number(
+    spec: SchemeSpec, k: int, vdisc: VDiscretization, grid: XGrid, dt: float
+) -> float:
+    """Signed Courant number of eigendirection k."""
     lam = float(vdisc.spectrum.eigenvalues[k])
     if spec.equation == "hyperbolic":
-        nu = lam * dt / grid.dx
-    else:
-        nu = lam * dt / grid.dx**2
+        return lam * dt / grid.dx
+    return lam * dt / grid.dx**2
+
+
+def _closed_form(spec: SchemeSpec, coords: ModeCoordinates, nu: float) -> complex:
+    """``mode_multiplier`` of the mode at ``coords`` with Courant number nu."""
     z_sign = -1.0 if coords.z < 0.0 else 1.0
-    query = AmpQuery(y=coords.y, nu=nu, z_sign=z_sign)
-    return mode_multiplier(spec, query)
+    return mode_multiplier(spec, AmpQuery(y=coords.y, nu=nu, z_sign=z_sign))
 
 
 @dataclass(frozen=True)
@@ -516,9 +526,12 @@ def run_oracle_suite(
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
     ms, ks = _mode_pairs(n_x, n_v)
     measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
+    # expected_mode_multiplier's values, with each mode's coordinates and
+    # each eigendirection's Courant number formed once
+    coords = [mode_coords(m, n_x) for m in range(n_x)]
+    nus = [_courant_number(spec, k, vdisc, grid, dt) for k in range(n_v)]
     return [
-        OracleRow(scheme_name, v_mode, m, k, complex(g),
-                  expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+        OracleRow(scheme_name, v_mode, m, k, complex(g), _closed_form(spec, coords[m], nus[k]))
         for m, k, g in zip(ms.tolist(), ks.tolist(), measured)
     ]
 
@@ -771,6 +784,18 @@ def _worst_mode_indices(
             best = value
             best_mk = (m, k)
     return best_mk
+
+
+def _worst_mode(cfg: ExperimentConfig) -> tuple[int, int, float]:
+    """The mode (m, k) that the config's worst-mode data starts from, and
+    |g| there (inf at an implicit pole)."""
+    vdisc, grid, dt = build_problem(cfg)
+    m, k = _worst_mode_indices(cfg.scheme, vdisc, grid, dt)
+    try:
+        growth = abs(expected_mode_multiplier(cfg.scheme, m, k, vdisc, grid, dt))
+    except PoleError:
+        growth = math.inf
+    return m, k, growth
 
 
 def initial_state(

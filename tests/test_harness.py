@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import psilab
+import psilab.cli as cli
 import psilab.harness as harness
 from psilab.cli import main as cli_main
 from psilab.harness import (
@@ -45,7 +46,7 @@ from psilab.harness import (
 )
 from psilab.amplification import PoleError, contour_grid
 from psilab.discretize import build_xgrid
-from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode_indices
+from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode, _worst_mode_indices
 
 _MINIMAL = """
 equation = hyperbolic
@@ -336,6 +337,25 @@ def test_oracle_suite_zero_cfl_is_exactly_unit():
     for name in ("hyp-dtp-lie-fe", "hyp-ptd-strang-rk2", "par-hybrid"):
         rows = run_oracle_suite(name, n_x=8, n_v=2, cfl=0.0)
         assert all(r.measured == 1.0 and r.expected == 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("v_mode", ["nodal", "modal"])
+@pytest.mark.parametrize("name", ["hyp-ptd-strang-rk2", "par-dtp-lie-theta0.5"])
+def test_oracle_rows_expect_the_scalar_closed_form_bitwise(name, v_mode):
+    """Each oracle row's expected value is expected_mode_multiplier of its
+    (m, k), bit for bit, though the suite forms each mode's coordinates
+    once."""
+    spec = parse_scheme_name(name).spec
+    vdisc = build_vdisc("linear", v_mode, 4)
+    grid = build_xgrid(16, 2.0 * np.pi / 16)
+    cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
+    dt = derive_dt(spec.equation, cfl, 16, vdisc, strict=False)
+    rows = run_oracle_suite(name, v_mode=v_mode)
+    assert [(row.m, row.k) for row in rows] == [(m, k) for m in range(16) for k in range(4)]
+    for row in rows:
+        want = expected_mode_multiplier(spec, row.m, row.k, vdisc, grid, dt)
+        assert type(row.expected) is complex
+        assert np.complex128(row.expected).tobytes() == np.complex128(want).tobytes()
 
 
 def test_boundary_suite_thresholds_match_simulations():
@@ -780,6 +800,66 @@ def test_cli_figures(tmp_path, capsys):
     code = cli_main(["figures", "--outdir", str(tmp_path / "figs")])
     assert code == 0
     assert len(list((tmp_path / "figs").glob("*.csv"))) == 4
+
+
+def _cli_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call."""
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_reuses_its_parser_across_calls(capsys):
+    """One process calls main with a valid command, an invalid one, then the
+    valid one again: each matches a call on a freshly built parser, and the
+    parser is built once."""
+    valid = ["verify", "--scheme", "hyp-full-fe"]
+    invalid = ["sweep", "--steps", "many"]
+    fresh = {}
+    for argv in (valid, invalid):
+        cli._build_parser.cache_clear()
+        fresh[tuple(argv)] = _cli_outcome(argv, capsys)
+    assert fresh[tuple(valid)][0] == 0 and fresh[tuple(invalid)][0] == 2
+    assert "invalid int value" in fresh[tuple(invalid)][2]
+    cli._build_parser.cache_clear()
+    for argv in (valid, invalid, valid):
+        assert _cli_outcome(argv, capsys) == fresh[tuple(argv)]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_sweep_notes_a_neutral_worst_mode(capsys):
+    """par-hybrid never grows, so its worst-mode scan lands on the constant
+    mode (0, 0) at every cfl; the sweep says so under its header. A sweep
+    whose scan finds growth at some cfl prints no note."""
+    assert cli_main(["sweep", "--scheme", "par-hybrid", "--steps", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "par-hybrid: worst-mode sweep, 5 steps, N_x = 64"
+    assert lines[1] == ("  note: no mode grows at these cfl values; every run marches "
+                        "the neutral mode (0, 0), where |g| = 1")
+    assert len(lines) == 7 and all(line.startswith("  cfl = ") for line in lines[2:])
+    assert cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--steps", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("  cfl = ") for line in lines[1:])
+
+
+def test_worst_mode_is_the_mode_the_run_starts_from():
+    for name, cfl, want in (("par-hybrid", 0.5, (0, 0)), ("hyp-dtp-lie-fe", 0.34, None)):
+        spec = parse_scheme_name(name).spec
+        hyper = spec.equation == "hyperbolic"
+        cfg = ExperimentConfig(scheme=spec, n_x=32, n_v=4, rank=2 if hyper else 1, cfl=cfl,
+                               steps=1, coefficient="linear" if hyper else "square",
+                               initial_data="worst_mode")
+        vdisc, grid, dt = build_problem(cfg)
+        m, k, growth = _worst_mode(cfg)
+        assert (m, k) == _worst_mode_indices(spec, vdisc, grid, dt)
+        assert growth == abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+        if want is not None:
+            assert (m, k) == want and growth == 1.0
+        else:
+            assert growth > 1.0
 
 
 def test_cli_errors_exit_nonzero(tmp_path, capsys):

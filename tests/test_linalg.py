@@ -1,5 +1,7 @@
 """Dense kernel checks: QR, symmetric eigensolver, |A|, linear solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -326,21 +328,80 @@ def _stack_with_dependent_slice(dtype, shape=(3, 2), rows=6, cols=3, seed=0):
     return stack
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_qr_on_a_stack_matches_each_slice(dtype):
-    stack = _stack_with_dependent_slice(dtype)
+def _qr_stacks():
+    """(label, stack, rank events) for the stacked QR: the oracle's complex
+    rank-1 retractions, a stack of march-sized real frames, and slices that
+    take rank completion, rescaling, or hold NaN or inf."""
+    rng = np.random.default_rng(12)
+
+    def complex_stack(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    oracle_x = complex_stack((64, 16, 1))
+    oracle_x[5] = 0.0  # a zero column: completed to a canonical direction
+    oracle_x[9] *= 1e-150  # rescaled from below
+    oracle_v = complex_stack((64, 4, 1))
+    oracle_v[[3, 60]] = 0.0
+    oracle_v[7] *= 1e150  # rescaled from above
+    frames = rng.standard_normal((5, 64, 4))
+    frames[2, :, 3] = frames[2, :, 1]
+    frames[4] *= 1e-200
+    nonfinite = rng.standard_normal((4, 6, 3))
+    nonfinite[1, 2, 1] = np.nan
+    nonfinite[2] *= 1e-150
+    nonfinite[3, 0, 0] = np.inf
+    nan_only = complex_stack((3, 6, 3))
+    nan_only[0, 4, 2] = complex(0.0, np.nan)
+    cases = [
+        ("float64", _stack_with_dependent_slice(np.float64), 1),
+        ("complex128", _stack_with_dependent_slice(np.complex128), 1),
+        ("oracle X", oracle_x, 1),
+        ("oracle V", oracle_v, 2),
+        ("frames", frames, 1),
+        # With warnings off, the inf slice's columns count as dependent
+        # against its infinite norm, alone as in the stack.
+        ("nan and inf", nonfinite, 2),
+        ("complex nan", nan_only, 0),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def _qr_outcome(mat):
+    """qr_thin_counted's factors and count, or the exception it raised."""
+    try:
+        return qr_thin_counted(mat)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("label,stack,events", _qr_stacks())
+def test_qr_on_a_stack_matches_each_slice(label, stack, events):
+    """Each slice of a stacked QR is the plain call on that slice: the same
+    bytes in the same memory layout, and a failure (a RuntimeWarning raised
+    as an error) wherever a slice's own call fails. With floating-point
+    warnings off, non-finite slices propagate exactly as alone."""
     before = stack.copy()
-    q, r, events = qr_thin_counted(stack)
-    assert type(events) is int
-    total = 0
-    for idx in np.ndindex(stack.shape[:-2]):
-        q_i, r_i, ev_i = qr_thin_counted(stack[idx])
-        assert q[idx].tobytes() == q_i.tobytes()
-        assert r[idx].tobytes() == r_i.tobytes()
-        total += ev_i
-    assert total == events == 1
-    assert r[1, 0, 2, 2] == 0
+    for state in ({}, {"all": "ignore"}):
+        with warnings.catch_warnings(), np.errstate(**state):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _qr_outcome(stack)
+            slices = [_qr_outcome(stack[idx]) for idx in np.ndindex(stack.shape[:-2])]
+        failed = [(type(s), str(s)) for s in slices if isinstance(s, Exception)]
+        if failed:
+            assert isinstance(got, Exception) and (type(got), str(got)) in failed
+            continue
+        assert not isinstance(got, Exception), got
+        q, r, total = got
+        assert type(total) is int
+        for idx, (q_i, r_i, ev_i) in zip(np.ndindex(stack.shape[:-2]), slices):
+            for stacked, alone in ((q[idx], q_i), (r[idx], r_i)):
+                assert stacked.strides == alone.strides
+                assert stacked.tobytes() == alone.tobytes()
+            total -= ev_i
+        assert total == 0 and got[2] == events
     assert stack.tobytes() == before.tobytes()  # the input is not overwritten
+    if label in ("float64", "complex128"):
+        assert r[1, 0, 2, 2] == 0
 
 
 def test_sym_eig_and_matrix_abs_on_a_stack_match_each_slice():
