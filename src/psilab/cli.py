@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from .amplification import contour_grid
@@ -22,6 +23,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     NumericalError,
+    build_problem,
     emit_figure_grids,
     parse_config,
     parse_scheme_name,
@@ -141,7 +143,9 @@ def _cmd_sweep(args) -> int:
         cfls = [round(ref + d, 4) for d in (-0.02, -0.01, 0.0, 0.01, 0.02)]
     rank = args.rank if args.rank is not None else (2 if hyperbolic else 1)
 
-    # Every config is checked before anything is printed or marched.
+    # Every config is checked, then each cfl's worst mode found once and
+    # handed to its run as eigenmode data (which checks the rank), before
+    # anything is printed or marched.
     configs = [
         ExperimentConfig(
             scheme=info.spec,
@@ -151,8 +155,10 @@ def _cmd_sweep(args) -> int:
         )
         for cfl in cfls
     ]
+    scans = [_worst_mode(cfg.scheme, *build_problem(cfg)) for cfg in configs]
+    configs = [replace(cfg, initial_data="eigenmode", mode_m=m, mode_k=k)
+               for cfg, (m, k, _) in zip(configs, scans)]
     print(f"{args.scheme}: worst-mode sweep, {args.steps} steps, N_x = {args.n_x}")
-    scans = [_worst_mode(cfg) for cfg in configs]
     if all(growth == 1.0 for _, _, growth in scans):
         modes = ", ".join(sorted({f"({m}, {k})" for m, k, _ in scans}))
         print(f"  note: no mode grows at these cfl values; every run marches the "

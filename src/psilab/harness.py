@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -149,6 +149,13 @@ class ExperimentConfig:
                 raise ConfigError(f"mode_m must lie in [0, N_x), got {self.mode_m}")
             if not 0 <= self.mode_k < self.n_v:
                 raise ConfigError(f"mode_k must lie in [0, N_v), got {self.mode_k}")
+            # full_tensor probes take their minimum rank whatever cfg.rank is
+            natural = mode_probe_rank(self.scheme.equation, self.mode_m, self.n_x)
+            if self.scheme.approach != "full_tensor" and self.rank < natural:
+                raise ConfigError(
+                    f"mode data at (m, k) = ({self.mode_m}, {self.mode_k}) is a rotating "
+                    f"quadrature pair; rank must be >= {natural}"
+                )
         elif self.mode_m is not None or self.mode_k is not None:
             raise ConfigError("mode_m/mode_k only apply to initial_data eigenmode")
         try:
@@ -465,17 +472,15 @@ def expected_mode_multiplier(
     coords = mode_coords(m, grid.n_x)
     if not 0 <= k < vdisc.size:
         raise ValueError(f"eigendirection index k={k} outside [0, {vdisc.size})")
-    return _closed_form(spec, coords, _courant_number(spec, k, vdisc, grid, dt))
+    return _closed_form(spec, coords, float(_courant_numbers(spec, vdisc, grid, dt)[k]))
 
 
-def _courant_number(
-    spec: SchemeSpec, k: int, vdisc: VDiscretization, grid: XGrid, dt: float
-) -> float:
-    """Signed Courant number of eigendirection k."""
-    lam = float(vdisc.spectrum.eigenvalues[k])
-    if spec.equation == "hyperbolic":
-        return lam * dt / grid.dx
-    return lam * dt / grid.dx**2
+def _courant_numbers(
+    spec: SchemeSpec, vdisc: VDiscretization, grid: XGrid, dt: float
+) -> np.ndarray:
+    """Signed Courant number of each eigendirection."""
+    dx = grid.dx if spec.equation == "hyperbolic" else grid.dx**2
+    return vdisc.spectrum.eigenvalues * dt / dx
 
 
 def _closed_form(spec: SchemeSpec, coords: ModeCoordinates, nu: float) -> complex:
@@ -524,29 +529,23 @@ def run_oracle_suite(
     if cfl is None:
         cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
-    ms, ks = _mode_pairs(n_x, n_v)
+    ms, ks = np.divmod(np.arange(n_x * n_v), n_v)  # every (m, k) in (m, k) order
     measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
     # expected_mode_multiplier's values, with each mode's coordinates and
     # each eigendirection's Courant number formed once
     coords = [mode_coords(m, n_x) for m in range(n_x)]
-    nus = [_courant_number(spec, k, vdisc, grid, dt) for k in range(n_v)]
+    nus = _courant_numbers(spec, vdisc, grid, dt).tolist()
     return [
         OracleRow(scheme_name, v_mode, m, k, complex(g), _closed_form(spec, coords[m], nus[k]))
         for m, k, g in zip(ms.tolist(), ks.tolist(), measured)
     ]
 
 
-def _mode_pairs(n_x: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (m, k) pair in (m, k) order, as two index arrays."""
-    return np.divmod(np.arange(n_x * n_v), n_v)
-
-
 def verify_report(
     scheme_names: tuple[str, ...] | list[str] | None = None,
-    n_x: int = 16,
-    n_v: int = 4,
 ) -> tuple[list[str], float]:
-    """Oracle sweep over schemes x {nodal, modal} with a(v) = v.
+    """Oracle sweep over schemes x {nodal, modal} with a(v) = v on the
+    default 16 x 4 grid.
 
     Returns printable per-suite lines and the overall maximum discrepancy.
     Each line names the suite's worst mode (m, k); on ties, the first in
@@ -557,7 +556,7 @@ def verify_report(
     overall = 0.0
     for name in names:
         for v_mode in ("nodal", "modal"):
-            rows = run_oracle_suite(name, n_x=n_x, n_v=n_v, v_mode=v_mode)
+            rows = run_oracle_suite(name, v_mode=v_mode)
             worst = max(rows, key=lambda row: row.discrepancy)
             overall = max(overall, worst.discrepancy)
             lines.append(
@@ -580,16 +579,14 @@ def parabolic_mode_equivalence(
 
     Both formulations act identically on rank-1 probes; the routes differ
     only in how the projected products are grouped, so the gap is roundoff.
+    The measured multipliers are ``run_oracle_suite``'s, under its size cap.
     """
-    spec_dtp = _theta_spec("dtp", theta)
-    spec_ptd = _theta_spec("ptd", theta)
-    vdisc = build_vdisc(coefficient, v_mode, n_v)
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
-    dt = derive_dt("parabolic", cfl, n_x, vdisc, strict=False)
-    ms, ks = _mode_pairs(n_x, n_v)
-    g_dtp = measured_mode_multipliers(spec_dtp, ms, ks, vdisc, grid, dt)
-    g_ptd = measured_mode_multipliers(spec_ptd, ms, ks, vdisc, grid, dt)
-    return float(np.abs(g_dtp - g_ptd).max())
+    dtp, ptd = (
+        run_oracle_suite(f"par-{approach}-lie-theta{float(theta)!r}", n_x, n_v,
+                         coefficient, v_mode, cfl)
+        for approach in ("dtp", "ptd")
+    )
+    return max(abs(a.measured - b.measured) for a, b in zip(dtp, ptd))
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +702,15 @@ def _mode_probe_state(
     quadrature cannot do this: projecting the antisymmetric stencil onto
     one real column zeroes the rotation and the run decays spuriously.
 
-    Ranks above the minimum are padded with tiny-weight columns in other
-    mode planes (the exactly-neutral constant column first), so a rank-r
-    config can still open with a mode probe.
+    Ranks above the minimum (``mode_probe_rank``, which ``ExperimentConfig``
+    enforces) are padded with tiny-weight columns in other mode planes (the
+    exactly-neutral constant column first), so a rank-r config can still
+    open with a mode probe.
     """
-    natural = mode_probe_rank(equation, m, grid.n_x)
-    if rank < natural:
-        kind = "a rotating quadrature pair" if natural == 2 else "self-conjugate"
-        raise ConfigError(
-            f"mode data at (m, k) = ({m}, {k}) is {kind}; rank must be >= {natural}"
-        )
     x_cols = [_quadrature_column(m % grid.n_x, grid.n_x, "cos")]
     v_used = [k]
     weights = [1.0]
-    if natural == 2:
+    if mode_probe_rank(equation, m, grid.n_x) == 2:
         # Shadow direction with |lambda_j| nearest |lambda_k|: its multiplier
         # then matches the carrier's modulus, so the shadow-to-carrier weight
         # ratio stays put and the frame's second column never sinks into the
@@ -748,13 +740,14 @@ def _mode_probe_state(
     )
 
 
-def _worst_mode_indices(
+def _worst_mode(
     spec: SchemeSpec, vdisc: VDiscretization, grid: XGrid, dt: float
-) -> tuple[int, int]:
-    """Argmax of |closed-form multiplier| over all (m, k); first index wins.
+) -> tuple[int, int, float]:
+    """Argmax (m, k) of |closed-form multiplier| over all modes, first index
+    winning, and |g| there.
 
-    A pole counts as infinitely unstable. Random data can hide a weak
-    instability for many steps; the sharpest mode cannot.
+    A pole counts as infinitely unstable, |g| = inf. Random data can hide a
+    weak instability for many steps; the sharpest mode cannot.
 
     One array evaluation covers the (m, k) grid. Modes m and N_x - m tie in
     exact arithmetic, so which one wins is settled in roundoff: every mode
@@ -762,40 +755,24 @@ def _worst_mode_indices(
     multiplier, in (m outer, k inner) order, and the first maximum of those
     values wins, exactly as a scalar loop over all modes would pick.
     """
-    # y, z and nu as mode_coords and expected_mode_multiplier compute them.
+    # y and z as mode_coords computes them.
     theta = 2.0 * np.pi * np.arange(grid.n_x) / grid.n_x
     y = 1.0 - np.cos(theta)
     z = np.where(np.sin(theta) < 0.0, -1.0, 1.0) * np.sqrt(y * (2.0 - y))
-    dx = grid.dx if spec.equation == "hyperbolic" else grid.dx**2
-    nu = vdisc.spectrum.eigenvalues * dt / dx
+    nu = _courant_numbers(spec, vdisc, grid, dt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = _multiplier(spec, y[:, None], nu[None, :], z[:, None])
     growth = np.abs(g)
     growth[np.isnan(growth)] = -1.0  # a scalar loop never picks NaN
-    best = -1.0
-    best_mk = (0, 0)
-    for m, k in np.argwhere(growth >= growth.max() * (1.0 - _TIE_WINDOW)):
-        m, k = int(m), int(k)
-        try:
-            value = abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+    worst = (0, 0, -1.0)
+    for m, k in np.argwhere(growth >= growth.max() * (1.0 - _TIE_WINDOW)).tolist():
+        try:  # expected_mode_multiplier's value
+            value = abs(_closed_form(spec, mode_coords(m, grid.n_x), float(nu[k])))
         except PoleError:
-            value = np.inf
-        if value > best:
-            best = value
-            best_mk = (m, k)
-    return best_mk
-
-
-def _worst_mode(cfg: ExperimentConfig) -> tuple[int, int, float]:
-    """The mode (m, k) that the config's worst-mode data starts from, and
-    |g| there (inf at an implicit pole)."""
-    vdisc, grid, dt = build_problem(cfg)
-    m, k = _worst_mode_indices(cfg.scheme, vdisc, grid, dt)
-    try:
-        growth = abs(expected_mode_multiplier(cfg.scheme, m, k, vdisc, grid, dt))
-    except PoleError:
-        growth = math.inf
-    return m, k, growth
+            value = math.inf
+        if value > worst[2]:
+            worst = (m, k, value)
+    return worst
 
 
 def initial_state(
@@ -810,11 +787,10 @@ def initial_state(
         x_ortho, _ = qr_thin(x_raw)
         v_ortho, _ = qr_thin(v_raw)
         return LowRankState(X=x_ortho, S=s_raw, V=v_ortho)
-    if cfg.initial_data == "eigenmode":
-        m, k = cfg.mode_m, cfg.mode_k
-    else:
-        m, k = _worst_mode_indices(cfg.scheme, vdisc, grid, dt)
-    rank = cfg.rank
+    if cfg.initial_data == "worst_mode":
+        m, k, _ = _worst_mode(cfg.scheme, vdisc, grid, dt)
+        cfg = replace(cfg, initial_data="eigenmode", mode_m=m, mode_k=k)  # checks the rank
+    m, k, rank = cfg.mode_m, cfg.mode_k, cfg.rank
     if cfg.scheme.approach == "full_tensor":
         rank = mode_probe_rank(cfg.scheme.equation, m, grid.n_x)
     return _mode_probe_state(m, k, rank, vdisc, grid, cfg.scheme.equation)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,9 @@ from psilab.harness import (
     emit_figure_grids,
     expected_mode_multiplier,
     initial_state,
+    measured_mode_multipliers,
     mode_probe_rank,
+    parabolic_mode_equivalence,
     parse_config,
     parse_scheme_name,
     run_boundary_suite,
@@ -46,7 +49,7 @@ from psilab.harness import (
 )
 from psilab.amplification import PoleError, contour_grid
 from psilab.discretize import build_xgrid
-from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode, _worst_mode_indices
+from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode
 
 _MINIMAL = """
 equation = hyperbolic
@@ -234,14 +237,12 @@ def test_mode_probe_rank_classification():
 
 
 def test_mode_probe_rejects_rank_below_minimum():
-    cfg = ExperimentConfig(
-        scheme=parse_scheme_name("hyp-dtp-lie-fe").spec,
-        n_x=16, n_v=4, rank=1, cfl=0.3, steps=1,
-        initial_data="eigenmode", mode_m=3, mode_k=0,
-    )
-    vdisc, grid, dt = build_problem(cfg)
     with pytest.raises(ConfigError, match="rank must be >= 2"):
-        initial_state(cfg, vdisc, grid, dt)
+        ExperimentConfig(
+            scheme=parse_scheme_name("hyp-dtp-lie-fe").spec,
+            n_x=16, n_v=4, rank=1, cfl=0.3, steps=1,
+            initial_data="eigenmode", mode_m=3, mode_k=0,
+        )
 
 
 def test_mode_probe_padding_keeps_frames_orthonormal():
@@ -271,7 +272,8 @@ def test_worst_mode_below_threshold_is_exactly_flat():
 
 
 def _worst_mode_by_loop(spec, vdisc, grid, dt):
-    """Reference scan: one scalar multiplier per (m, k), first maximum wins."""
+    """Reference scan: one scalar multiplier per (m, k), first maximum wins;
+    (m, k, |g|)."""
     best, best_mk = -1.0, (0, 0)
     for m in range(grid.n_x):
         for k in range(vdisc.size):
@@ -281,7 +283,7 @@ def _worst_mode_by_loop(spec, vdisc, grid, dt):
                 growth = np.inf
             if growth > best:
                 best, best_mk = growth, (m, k)
-    return best_mk
+    return (*best_mk, best)
 
 
 def _assert_scan_matches_loop(name, n_x, coefficient, n_v, cfl):
@@ -289,7 +291,7 @@ def _assert_scan_matches_loop(name, n_x, coefficient, n_v, cfl):
     vdisc = build_vdisc(coefficient, "nodal", n_v)
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
-    assert _worst_mode_indices(spec, vdisc, grid, dt) == _worst_mode_by_loop(
+    assert _worst_mode(spec, vdisc, grid, dt) == _worst_mode_by_loop(
         spec, vdisc, grid, dt
     )
 
@@ -321,6 +323,23 @@ def test_worst_mode_scan_matches_scalar_loop(name):
 )
 def test_worst_mode_scan_matches_scalar_loop_on_march_configs(name, n_x, coefficient, cfl):
     _assert_scan_matches_loop(name, n_x, coefficient, 16, cfl)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_parabolic_mode_equivalence_is_the_measured_gap_bitwise(theta):
+    """The equivalence gap read off two oracle suites is max |g_dtp - g_ptd|
+    of the stacked probes over every (m, k), bit for bit."""
+    vdisc = build_vdisc("linear", "nodal", 4)
+    grid = build_xgrid(16, 2.0 * np.pi / 16)
+    dt = derive_dt("parabolic", 0.2, 16, vdisc, strict=False)
+    ms, ks = np.divmod(np.arange(64), 4)
+    g_dtp, g_ptd = (
+        measured_mode_multipliers(parse_scheme_name(f"par-{approach}-lie-theta{theta}").spec,
+                                  ms, ks, vdisc, grid, dt)
+        for approach in ("dtp", "ptd")
+    )
+    want = float(np.abs(g_dtp - g_ptd).max())
+    assert np.float64(parabolic_mode_equivalence(theta)).tobytes() == np.float64(want).tobytes()
 
 
 def test_derive_dt_formulas():
@@ -729,7 +748,7 @@ def test_cli_verify_single_family(capsys):
 
 
 def test_verify_names_first_worst_mode(monkeypatch):
-    def fake_suite(name, n_x, n_v, v_mode):
+    def fake_suite(name, v_mode):
         gaps = {(0, 0): 1e-15, (0, 1): 3e-15, (1, 0): 3e-15, (1, 1): 2e-15}
         return [OracleRow(name, v_mode, m, k, gap, 0.0) for (m, k), gap in gaps.items()]
 
@@ -853,8 +872,12 @@ def test_worst_mode_is_the_mode_the_run_starts_from():
                                steps=1, coefficient="linear" if hyper else "square",
                                initial_data="worst_mode")
         vdisc, grid, dt = build_problem(cfg)
-        m, k, growth = _worst_mode(cfg)
-        assert (m, k) == _worst_mode_indices(spec, vdisc, grid, dt)
+        m, k, growth = _worst_mode(spec, vdisc, grid, dt)
+        probe = initial_state(replace(cfg, initial_data="eigenmode", mode_m=m, mode_k=k),
+                              vdisc, grid, dt)
+        start = initial_state(cfg, vdisc, grid, dt)
+        for a, b in ((start.X, probe.X), (start.S, probe.S), (start.V, probe.V)):
+            assert np.array_equal(a, b)
         assert growth == abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
         if want is not None:
             assert (m, k) == want and growth == 1.0
@@ -965,6 +988,24 @@ def test_cli_sweep_checks_every_cfl_before_marching(capsys):
     assert code == 2
     assert "cfl =" not in captured.out
     assert captured.err == "error: cfl must be finite and nonnegative, got nan\n"
+
+
+def test_cli_probe_rank_is_checked_before_any_output(tmp_path, capsys):
+    """A sweep whose worst mode at some cfl rotates needs rank 2; at rank 1
+    it fails before its header, and eigenmode data below the probe rank
+    fails when simulate parses the config, with the same message."""
+    message = ("error: mode data at (m, k) = (2, 0) is a rotating quadrature pair; "
+               "rank must be >= 2\n")
+    code = cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--rank", "1", "--steps", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_MINIMAL.replace("rank = 2", "rank = 1")
+                        + "initial_data = eigenmode\nmode_m = 2\nmode_k = 0\n", encoding="utf-8")
+    code = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "h.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_cli_sweep_rows(capsys):

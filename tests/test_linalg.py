@@ -246,7 +246,7 @@ def test_qr_completion_direction_ignores_input_scale():
 
 
 def test_qr_tall_rank_deficient_padding():
-    # init_lowrank pads a short frame with zero columns to the rank
+    # a short frame padded with zero columns to the rank
     n = 1024
     x = 2 * np.pi * np.arange(n) / n
     basis = np.column_stack([np.cos(3 * x), np.sin(3 * x)]) / np.sqrt(n / 2)
