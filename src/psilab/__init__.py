@@ -11,6 +11,7 @@ cross-checked mode by mode.
 from .amplification import (
     AmpQuery,
     BoundaryResult,
+    ContourGrid,
     PoleError,
     amp_p1_p2_p3,
     contour_grid,

@@ -33,6 +33,7 @@ from .integrators import SchemeSpec
 __all__ = [
     "AmpQuery",
     "BoundaryResult",
+    "ContourGrid",
     "PoleError",
     "Y_GRID",
     "amp_p1_p2_p3",
@@ -285,11 +286,24 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
     return BoundaryResult(0.5 * (lo + hi), worst_y, lo, hi, evals)
 
 
-def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.ndarray:
-    """Tabulate the surface on [0, 2] x [0, mu_max] as rows (Y, mu, h).
+@dataclass(frozen=True)
+class ContourGrid:
+    """A surface tabulated on a lattice: ``h[i, j]`` at (``ys[i]``,
+    ``mus[j]``). Its rows (Y, mu, h) run Y-major, all mu values of the first
+    Y, then the next Y; ``len`` is the row count."""
 
-    Rows run Y-major: all mu values of the first Y, then the next Y. Poles
-    appear as inf and are preserved for the text output. The table is the
+    ys: np.ndarray
+    mus: np.ndarray
+    h: np.ndarray
+
+    def __len__(self) -> int:
+        return self.h.size
+
+
+def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> ContourGrid:
+    """Tabulate the surface on [0, 2] x [0, mu_max].
+
+    Poles appear as inf and are preserved for the text output. ``h`` is the
     only grid-sized array: each mu column is one sweep over Y, written
     straight into it (one broadcast over the whole grid rounds otherwise).
     """
@@ -299,9 +313,7 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> np.nd
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     ys = np.linspace(0.0, 2.0, y_points)
     mus = np.linspace(0.0, mu_max, mu_points)
-    out = np.empty((y_points, mu_points, 3))
-    out[:, :, 0] = ys[:, None]
-    out[:, :, 1] = mus
+    h = np.empty((y_points, mu_points))
     for j, mu in enumerate(mus):
-        out[:, j, 2] = _sweep_on(surface, ys, float(mu))
-    return out.reshape(-1, 3)
+        h[:, j] = _sweep_on(surface, ys, float(mu))
+    return ContourGrid(ys, mus, h)

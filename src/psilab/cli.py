@@ -17,7 +17,6 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 
-from .amplification import contour_grid
 from .harness import (
     BOUNDARY_SUITE,
     ConfigError,
@@ -32,8 +31,8 @@ from .harness import (
     stability_verdict,
     verify_report,
     write_boundary_csv,
-    write_contour_csv,
     write_history_csv,
+    write_surface_csv,
     _worst_mode,
 )
 
@@ -92,12 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    info = parse_scheme_name(args.scheme)
-    mu_max = args.mu_max if args.mu_max is not None else info.contour_mu_max
-    table = contour_grid(info.surface, args.y_points, args.mu_points, mu_max)
-    write_contour_csv(args.out, table)
-    print(f"{args.scheme}: {table.shape[0]} rows "
-          f"({args.y_points} x {args.mu_points}, mu <= {mu_max:g}) -> {args.out}")
+    grid = write_surface_csv(args.out, args.scheme, args.y_points, args.mu_points, args.mu_max)
+    print(f"{args.scheme}: {len(grid)} rows "
+          f"({args.y_points} x {args.mu_points}, mu <= {grid.mus[-1]:g}) -> {args.out}")
     return 0
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .amplification import (
     AmpQuery,
     BoundaryResult,
+    ContourGrid,
     PoleError,
     _multiplier,
     contour_grid,
@@ -69,6 +70,7 @@ __all__ = [
     "write_boundary_csv",
     "write_contour_csv",
     "write_history_csv",
+    "write_surface_csv",
 ]
 
 _STABILITY_SLACK = 1e-8
@@ -155,6 +157,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"mode data at (m, k) = ({self.mode_m}, {self.mode_k}) is a rotating "
                     f"quadrature pair; rank must be >= {natural}"
+                )
+            if self.n_v < natural:  # _mode_probe_state's shadow column
+                raise ConfigError(
+                    f"mode data at (m, k) = ({self.mode_m}, {self.mode_k}) is a rotating "
+                    f"quadrature pair; its shadow eigendirection needs N_v >= {natural}"
                 )
         elif self.mode_m is not None or self.mode_k is not None:
             raise ConfigError("mode_m/mode_k only apply to initial_data eigenmode")
@@ -841,7 +848,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-#: Table rows one ``write_contour_csv`` block formats. A block holds a few
+#: Rows one ``write_contour_csv`` block formats. A block holds a few
 #: hundred bytes per row and costs a fixed number of numpy calls.
 _CSV_BLOCK_ROWS = 2048
 
@@ -896,13 +903,13 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 #   words 1-4   digits 1-16                  bytes 4-19 (digit i at 3 + i)
 #   word 5      F[0:4] if k < 0, else "."    bytes 20-23
 #   words 6-9   digits 1-16 again            bytes 24-39 (F[j] at 20 + j)
-#   word 10     the separator                byte 40
+#   word 10     the newline                  byte 40
 # k >= 0 keeps digits 0..k (bytes 3..3+k), then the point and the fraction
 # F[k+4:], which is non-empty unless every fraction digit is zero. k < 0
 # keeps "0." and F[k+4:]: -k - 1 zeros, then the digits.
 _LEAD = _words(np.frombuffer(b"".join(b" 0.%d" % d for d in range(10)), np.uint8))
 _DOT = _words(np.frombuffer(b".   ", np.uint8))[0]
-_COMMA, _NEWLINE = _words(np.frombuffer(b",   \n   ", np.uint8))
+_NEWLINE = _words(np.frombuffer(b"\n   ", np.uint8))[0]
 _ROW_BYTES = 44
 _SEP_BYTE = 40
 
@@ -962,7 +969,7 @@ def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return (k, d0, *_divmod(middle, 10**4), *_divmod(tail, 10**4))
 
 
-def _fixed_rows(values: np.ndarray, sep: np.uint32) -> tuple[np.ndarray, ...]:
+def _fixed_rows(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row bytes and layout codes of ``values`` in fixed notation, valid
     where the returned mask is set. Its temporaries are freed on return,
     before the block's byte mask is built."""
@@ -977,14 +984,14 @@ def _fixed_rows(values: np.ndarray, sep: np.uint32) -> tuple[np.ndarray, ...]:
     rows[:, 5] = np.where(k < 0, quad[d0], _DOT)
     for j, group in enumerate(groups, 1):
         rows[:, j] = rows[:, j + 5] = quad[group]
-    rows[:, 10] = sep
+    rows[:, 10] = _NEWLINE
     return rows.view(np.uint8), layout, fixed
 
 
-def _kernel_slots(values: np.ndarray, sep: np.uint32) -> np.ndarray:
-    """44-byte slots holding ``format(v, ".17g")`` of each value and then the
-    first byte of ``sep``, every other byte NUL."""
-    chars, layout, fixed = _fixed_rows(values, sep)
+def _kernel_slots(values: np.ndarray) -> np.ndarray:
+    """44-byte slots holding ``format(v, ".17g")`` of each value and then a
+    newline, every other byte NUL."""
+    chars, layout, fixed = _fixed_rows(values)
     other = np.flatnonzero(~fixed)
     if len(other):
         texts = [format(v, ".17g").encode() for v in values[other].tolist()]
@@ -993,18 +1000,6 @@ def _kernel_slots(values: np.ndarray, sep: np.uint32) -> np.ndarray:
         layout[other] = _TEXT_LAYOUT
     chars *= np.take(_layout_masks(), layout, axis=0)
     return chars
-
-
-#: Up to about this many values ``format`` fills comma slots faster than
-#: the digit kernel, whose numpy calls cost as much for 4 values as for 64.
-_FEW_VALUES = 64
-
-
-def _comma_slots(values: np.ndarray) -> np.ndarray:
-    """Slots holding ``format(v, ".17g")`` of each value and then a comma,
-    every other byte NUL: ``_text_slots`` for a few values, else the digit
-    kernel's."""
-    return _text_slots(values) if len(values) <= _FEW_VALUES else _kernel_slots(values, _COMMA)
 
 
 def _text_slots(values: np.ndarray) -> np.ndarray:
@@ -1016,49 +1011,21 @@ def _text_slots(values: np.ndarray) -> np.ndarray:
                          np.uint8).reshape(-1, width)
 
 
-def _mu_period(y_bits: np.ndarray, mu_bits: np.ndarray) -> int:
-    """The length p of the first run of equal Y, if p <= ``_CSV_BLOCK_ROWS``
-    and row i's mu equals row (i mod p)'s bit for bit (0.0 and -0.0 differ,
-    as do nan payloads); else 0. A Y-major lattice (``contour_grid``'s
-    tables) has this form."""
-    head = y_bits[:_CSV_BLOCK_ROWS + 1]
-    if not len(head):
-        return 0
-    p = int(np.argmax(head != head[0])) or len(head)
-    if p > _CSV_BLOCK_ROWS or len(mu_bits) % p:
-        return 0
-    return p if (mu_bits.reshape(-1, p) == mu_bits[:p]).all() else 0
-
-
-def write_contour_csv(path: str, table: np.ndarray) -> None:
-    """Write the (Y, mu, h) rows of ``table``, ``_CSV_BLOCK_ROWS`` at a time;
+def write_contour_csv(path: str, grid: ContourGrid) -> None:
+    """Write the (Y, mu, h) rows of ``grid``, ``_CSV_BLOCK_ROWS`` at a time;
     the bytes equal per-value ``format(v, ".17g")``.
 
-    Each block's rows are gathered from NUL-padded tables of formatted
-    slots, and the NULs are dropped. Y is formatted once per run of equal Y
-    in a block; mu once per table when it repeats the first Y run's column
-    (``_mu_period``), else per block by the digit kernel; h per row by the
-    digit kernel."""
-    table = np.asarray(table, dtype=float)
-    y, mu, h = table.T
-    y_bits = y.view(np.int64)
-    period = _mu_period(y_bits, mu.view(np.int64))
-    if period:
-        mu_slots = _text_slots(mu[:period])
+    Y and mu are formatted once per file, h per row by the digit kernel.
+    Each block's rows are gathered from these NUL-padded slots, and the NULs
+    are dropped."""
+    y_slots, mu_slots = _text_slots(grid.ys), _text_slots(grid.mus)
+    h = grid.h.reshape(-1)
     with open(path, "wb") as handle:
         handle.write(b"Y,mu,h\n")
-        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-            bits = y_bits[rows]
-            fresh = np.empty(len(bits), bool)  # row starts a run of equal Y
-            fresh[0] = True
-            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-            chars = np.concatenate([
-                _comma_slots(y[rows][fresh]).take(np.cumsum(fresh) - 1, axis=0),
-                mu_slots.take(np.arange(lo, lo + len(bits)) % period, axis=0) if period
-                else _kernel_slots(mu[rows], _COMMA),
-                _kernel_slots(h[rows], _NEWLINE),
-            ], axis=1)
+        for lo in range(0, len(h), _CSV_BLOCK_ROWS):
+            iy, imu = _divmod(np.arange(lo, min(lo + _CSV_BLOCK_ROWS, len(h))), len(grid.mus))
+            chars = np.concatenate([y_slots.take(iy, axis=0), mu_slots.take(imu, axis=0),
+                                    _kernel_slots(h[lo:lo + _CSV_BLOCK_ROWS])], axis=1)
             handle.write(chars[chars != 0])
 
 
@@ -1094,14 +1061,22 @@ FIGURE_GRIDS: tuple[tuple[str, str, float], ...] = tuple(
 )
 
 
+def write_surface_csv(path: str, scheme_name: str, y_points: int = 401,
+                      mu_points: int = 401, mu_max: float | None = None) -> ContourGrid:
+    """Tabulate a registry scheme's stability surface on [0, 2] x [0, mu_max]
+    (default: its ``contour_mu_max``) and write it to ``path``."""
+    info = parse_scheme_name(scheme_name)
+    grid = contour_grid(info.surface, y_points, mu_points,
+                        info.contour_mu_max if mu_max is None else mu_max)
+    write_contour_csv(path, grid)
+    return grid
+
+
 def emit_figure_grids(outdir: str) -> list[str]:
-    """Write the four 401x401 stability-surface grids into ``outdir``; each
-    table goes straight to the writer, so one table is held at a time."""
+    """Write the four 401x401 stability-surface grids into ``outdir``, one
+    grid held at a time."""
     os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for filename, scheme_name, mu_max in FIGURE_GRIDS:
-        path = os.path.join(outdir, filename)
-        write_contour_csv(path, contour_grid(parse_scheme_name(scheme_name).surface,
-                                             401, 401, mu_max))
-        paths.append(path)
+    paths = [os.path.join(outdir, filename) for filename, _, _ in FIGURE_GRIDS]
+    for path, (_, scheme_name, mu_max) in zip(paths, FIGURE_GRIDS):
+        write_surface_csv(path, scheme_name, mu_max=mu_max)
     return paths

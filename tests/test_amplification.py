@@ -249,24 +249,24 @@ def test_boundary_largest_reachable_bracket_still_converges():
 
 def test_contour_grid_shape_and_corner():
     info = parse_scheme_name("hyp-dtp-lie-fe")
-    table = contour_grid(info.surface, 3, 3, 1.0)
-    assert table.shape == (9, 3)
-    y, mu, h = table[0]
+    grid = contour_grid(info.surface, 3, 3, 1.0)
+    assert grid.h.shape == (3, 3) and len(grid) == 9
+    y, mu, h = grid.ys[0], grid.mus[0], grid.h[0, 0]
     assert (y, mu) == (0.0, 0.0) and h == 1.0
-    assert float(table[:, 0].max()) == pytest.approx(2.0)
-    assert float(table[:, 1].max()) == pytest.approx(1.0)
+    assert float(grid.ys.max()) == pytest.approx(2.0)
+    assert float(grid.mus.max()) == pytest.approx(1.0)
 
 
 def test_contour_grid_marks_poles_infinite():
     surf = parse_scheme_name("par-dtp-lie-theta1").surface
-    table = contour_grid(surf, 3, 3, 1.0)
+    grid = contour_grid(surf, 3, 3, 1.0)
     # x = 2 mu Y crosses the backward Euler pole x = 1 at (Y, mu) = (1, 1/2)
-    hit = table[(table[:, 0] == 1.0) & (table[:, 1] == 0.5)]
-    assert np.isinf(hit[0, 2])
+    hit = grid.h[grid.ys == 1.0][:, grid.mus == 0.5]
+    assert np.isinf(hit[0, 0])
     # On the 23 x 101 grid, (Y, mu) = (10/11, 0.55) lands on x = 1 only up to
     # roundoff; the pole rule still marks it.
-    table = contour_grid(surf, 23, 101, 1.0)
-    y, mu, h = table[10 * 101 + 55]
+    grid = contour_grid(surf, 23, 101, 1.0)
+    y, mu, h = grid.ys[10], grid.mus[55], grid.h[10, 55]
     assert y == pytest.approx(10.0 / 11.0) and mu == pytest.approx(0.55)
     assert 2.0 * y * mu != 1.0
     assert np.isinf(h)
@@ -283,9 +283,12 @@ _CONTOUR_CASES = [
 def test_contour_grid_bitwise_matches_the_repeat_tile_table(name, mu_max, y_points,
                                                             mu_points):
     surface = parse_scheme_name(name).surface
-    got = contour_grid(surface, y_points, mu_points, mu_max)
+    grid = contour_grid(surface, y_points, mu_points, mu_max)
+    assert grid.h.shape == (y_points, mu_points)
+    assert grid.h.dtype == np.float64
+    assert grid.h.flags.c_contiguous and grid.h.flags.writeable
+    got = np.column_stack([np.repeat(grid.ys, mu_points), np.tile(grid.mus, y_points),
+                           grid.h.reshape(-1)])
     want = reference_contour_grid(surface, y_points, mu_points, mu_max)
-    assert got.shape == want.shape == (y_points * mu_points, 3)
-    assert got.dtype == np.float64
-    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.shape == want.shape == (y_points * mu_points, 3) == (len(grid), 3)
     assert got.tobytes() == want.tobytes()

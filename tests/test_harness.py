@@ -47,7 +47,7 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import PoleError, contour_grid
+from psilab.amplification import ContourGrid, PoleError, contour_grid
 from psilab.discretize import build_xgrid
 from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode
 
@@ -245,6 +245,24 @@ def test_mode_probe_rejects_rank_below_minimum():
         )
 
 
+def test_full_tensor_rotating_mode_needs_a_shadow_eigendirection():
+    # A full_tensor probe of a rotating hyperbolic mode takes rank 2 whatever
+    # cfg.rank says; its shadow column needs a second eigendirection.
+    spec = parse_scheme_name("hyp-full-fe").spec
+    message = r"rotating quadrature pair; its shadow eigendirection needs N_v >= 2"
+    with pytest.raises(ConfigError, match=r"\(m, k\) = \(3, 0\) is a " + message):
+        ExperimentConfig(scheme=spec, n_x=16, n_v=1, rank=1, cfl=1.2, steps=3,
+                         coefficient="const:1", initial_data="eigenmode", mode_m=3, mode_k=0)
+    # The worst mode of an odd grid at this cfl is the rotating m = 7.
+    cfg = ExperimentConfig(scheme=spec, n_x=15, n_v=1, rank=1, cfl=1.2, steps=3,
+                           coefficient="const:1", initial_data="worst_mode")
+    with pytest.raises(ConfigError, match=r"\(m, k\) = \(7, 0\) is a " + message):
+        run_simulation(cfg)
+    # A self-conjugate mode closes at rank 1 on one eigendirection.
+    flat = replace(cfg, initial_data="eigenmode", mode_m=0, mode_k=0)
+    assert [r.frobenius for r in run_simulation(flat)] == pytest.approx([1.0] * 4)
+
+
 def test_mode_probe_padding_keeps_frames_orthonormal():
     cfg = ExperimentConfig(
         scheme=parse_scheme_name("hyp-dtp-lie-fe").spec,
@@ -418,21 +436,28 @@ def test_boundary_csv_format(tmp_path):
 
 
 def test_contour_csv_pole_sentinel(tmp_path):
-    table = contour_grid(parse_scheme_name("par-dtp-lie-theta1").surface, 3, 3, 1.0)
+    grid = contour_grid(parse_scheme_name("par-dtp-lie-theta1").surface, 3, 3, 1.0)
     path = tmp_path / "c.csv"
-    write_contour_csv(str(path), table)
+    write_contour_csv(str(path), grid)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "Y,mu,h"
     assert "1,0.5,inf" in lines
 
 
-def _reference_contour_csv(path, table):
-    """The per-value writer that ``write_contour_csv`` must match byte for byte."""
+def _reference_contour_csv(path, grid):
+    """The per-value writer that ``write_contour_csv`` must match byte for
+    byte; it walks the lattice's rows, Y-major."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("Y,mu,h\n")
-        for row in table:
-            y, mu, h = (format(float(value), ".17g") for value in row)
-            handle.write(f"{y},{mu},{h}\n")
+        for y, h_row in zip(grid.ys, grid.h):
+            for mu, h in zip(grid.mus, h_row):
+                y_text, mu_text, h_text = (format(float(value), ".17g") for value in (y, mu, h))
+                handle.write(f"{y_text},{mu_text},{h_text}\n")
+
+
+def _grid(ys, mus, h):
+    return ContourGrid(np.array(ys, dtype=float), np.array(mus, dtype=float),
+                       np.array(h, dtype=float))
 
 
 _CSV_SPECIALS = (
@@ -445,42 +470,30 @@ _CSV_VALUES = st.one_of(
     # The writer's fixed-notation window, which the full range seldom hits.
     st.floats(min_value=1e-4, max_value=1e16),
 )
-# Pools lean on values that compare equal or unequal to themselves while
-# printing differently: 0.0 == -0.0, nan != nan.
+# Axis values lean on values that compare equal or unequal to themselves
+# while printing differently: 0.0 == -0.0, nan != nan.
 _CSV_POOL_VALUES = st.one_of(st.sampled_from((0.0, -0.0, math.nan, -math.nan)), _CSV_VALUES)
 
 
 @st.composite
-def _contour_tables(draw):
-    """(n, 3) tables whose Y and mu come from small pools, so runs of equal
-    Y recur (also non-consecutively) and mu columns repeat or differ."""
-    y_pool = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=3))
-    mu_pool = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=3))
-    if draw(st.booleans()):
-        # Free rows: Y and mu picked per row.
-        n = draw(st.integers(0, 50))
-        rows = [(draw(st.sampled_from(y_pool)), draw(st.sampled_from(mu_pool)),
-                 draw(_CSV_VALUES)) for _ in range(n)]
-    else:
-        # Blocks: each Y run carries one of a few mu columns, as a lattice does.
-        columns = draw(st.lists(st.lists(st.sampled_from(mu_pool), min_size=1, max_size=5),
-                                min_size=1, max_size=3))
-        rows = []
-        for _ in range(draw(st.integers(0, 10))):
-            y = draw(st.sampled_from(y_pool))
-            rows += [(y, mu, draw(_CSV_VALUES)) for mu in draw(st.sampled_from(columns))]
-        rows = rows[:50]
-    return np.array(rows, dtype=float).reshape(-1, 3)
+def _contour_grids(draw):
+    """Lattices of up to 7 x 7 points with Y and mu from ``_CSV_POOL_VALUES``
+    and any double for h."""
+    ys = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=7))
+    mus = draw(st.lists(_CSV_POOL_VALUES, min_size=1, max_size=7))
+    size = len(ys) * len(mus)
+    h = draw(st.lists(_CSV_VALUES, min_size=size, max_size=size))
+    return _grid(ys, mus, np.reshape(h, (len(ys), len(mus))))
 
 
 @settings(deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_contour_tables())
-@example(table=np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]]))
-@example(table=np.array([[0.0, 0.0, 2.0], [1.0, -0.0, 2.0]]))
-def test_contour_csv_matches_per_value_formatting(tmp_path, table):
-    write_contour_csv(str(tmp_path / "block.csv"), table)
-    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+@given(grid=_contour_grids())
+@example(grid=_grid([0.0, -0.0], [1.0], [[2.0], [2.0]]))
+@example(grid=_grid([0.0, 1.0], [0.0, -0.0], [[2.0, 2.0], [2.0, 2.0]]))
+def test_contour_csv_matches_per_value_formatting(tmp_path, grid):
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -503,80 +516,66 @@ def test_contour_csv_kernel_edge_values(tmp_path):
         0.1, 0.5, 1.0 / 3.0, 2.5, 9999999999999998.0,
     ]
     values += [-v for v in values]
-    table = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
-    write_contour_csv(str(tmp_path / "block.csv"), table)
-    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    h = np.array(values + [1.0] * (-len(values) % 3)).reshape(-1, 3)
+    grid = _grid(h[:, 0], h[0], h)
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def _figure_table(scheme_name, mu_max):
+def _figure_grid(scheme_name, mu_max):
     return contour_grid(parse_scheme_name(scheme_name).surface, 401, 401, mu_max)
 
 
-def _long_run_table(rows):
-    """One Y for every row, with random mu and h."""
-    rng = np.random.default_rng(0)
-    return np.column_stack([np.full(rows, 0.5), rng.random(rows), rng.random(rows)])
-
-
 def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
-    # Runs across several block seams, the second repeating the first's mu
-    # column, then a short run.
-    run = _long_run_table(2 * _CSV_BLOCK_ROWS + 5)
-    second = run.copy()
-    second[:, 0] = -0.0
-    table = np.vstack([run, second, [[1.0, 0.0, math.nan]] * 3])
-    write_contour_csv(str(tmp_path / "block.csv"), table)
-    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    # Y runs across several block seams, the second at -0.0, the third with
+    # specials in h.
+    rng = np.random.default_rng(0)
+    h = rng.random((3, 2 * _CSV_BLOCK_ROWS + 5))
+    h[2, :3] = (math.nan, math.inf, 0.0)
+    grid = _grid([0.5, -0.0, 1.0], rng.random(h.shape[1]), h)
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def _lattice_table(run_length, dtype=float, first_mu=0.0):
-    """Three Y runs of ``run_length`` rows (the last two at -0.0 and 0.0),
-    each repeating one mu column that starts with ``first_mu`` and holds
-    values outside the digit kernel's window, and random h."""
-    rng = np.random.default_rng(run_length)
-    mu = rng.random(run_length) * 2.5
-    mu[:4] = (first_mu, -1.5, 1e-7, 3e20)
-    h = rng.random(3 * run_length) * 3.0
-    h[::97] = math.inf
-    h[1::89] = math.nan
-    table = np.column_stack([np.repeat([0.25, -0.0, 0.0], run_length), np.tile(mu, 3), h])
-    return table.astype(dtype)
+def _lattice(y_points, mu_points):
+    """A y_points x mu_points lattice whose Y start at 0.25, -0.0, 0.0 and
+    whose mu hold values outside the digit kernel's window, with random h
+    and some inf and nan."""
+    rng = np.random.default_rng(y_points * mu_points)
+    ys = rng.random(y_points) * 2.0
+    ys[:3] = (0.25, -0.0, 0.0)[:y_points]
+    mus = rng.random(mu_points) * 2.5
+    mus[:4] = (0.0, -1.5, 1e-7, 3e20)[:mu_points]
+    h = rng.random((y_points, mu_points)) * 3.0
+    h.flat[::97] = math.inf
+    h.flat[1::89] = math.nan
+    return ContourGrid(ys, mus, h)
 
 
-def _with_last_mu(table, value):
-    """``table`` with the first mu of its last run set to ``value``."""
-    table = table.copy()
-    table[2 * len(table) // 3, 1] = value
-    return table
-
-
-@pytest.mark.parametrize("table", [
-    *(pytest.param(_lattice_table(n), id=f"runs-of-{n}") for n in (401, 2047, 2048, 2049)),
-    pytest.param(_with_last_mu(_lattice_table(401), -0.0), id="last-run-minus-zero"),
-    pytest.param(_with_last_mu(_lattice_table(401, first_mu=math.nan), -math.nan),
-                 id="last-run-minus-nan"),
-    pytest.param(np.empty((0, 3)), id="no-rows"),
-    pytest.param(_lattice_table(401, np.float32), id="float32"),
-    pytest.param(np.asfortranarray(_lattice_table(2049)), id="fortran-order"),
-    pytest.param(_lattice_table(401).reshape(3, 401, 3).transpose(1, 0, 2).reshape(-1, 3),
-                 id="mu-major"),
+@pytest.mark.parametrize("y_points,mu_points", [
+    *(pytest.param(3, n, id=f"runs-of-{n}") for n in (401, 2047, 2048, 2049)),
+    pytest.param(23, 89, id="rows-2047"),
+    pytest.param(32, 64, id="rows-2048"),
+    pytest.param(683, 3, id="rows-2049"),
+    pytest.param(7, 3000, id="7x3000"),
+    pytest.param(3000, 2, id="3000x2"),
 ])
-def test_contour_csv_lattices_across_block_seams(tmp_path, table):
-    # Runs of 2047-2049 rows end next to a block seam; a mu column that
-    # differs from the first run's only in its bits is not a lattice; a
-    # mu-major table starts a Y run on every row.
-    write_contour_csv(str(tmp_path / "block.csv"), table)
-    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+def test_contour_csv_lattices_across_block_seams(tmp_path, y_points, mu_points):
+    # Y runs of 2047-2049 rows, and lattices of 2047-2049 rows, end next to
+    # a block seam; long and short Y runs cross many seams.
+    grid = _lattice(y_points, mu_points)
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("filename,scheme_name,mu_max", FIGURE_GRIDS)
 def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name, mu_max):
-    table = _figure_table(scheme_name, mu_max)
-    write_contour_csv(str(tmp_path / "block.csv"), table)
-    _reference_contour_csv(str(tmp_path / "reference.csv"), table)
+    grid = _figure_grid(scheme_name, mu_max)
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -586,10 +585,11 @@ def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
     # block of _CSV_BLOCK_ROWS rows of it at a time.
     if shape == "figure":
         _, scheme_name, mu_max = FIGURE_GRIDS[0]
-        table = _figure_table(scheme_name, mu_max)
+        grid = _figure_grid(scheme_name, mu_max)
     else:
-        table = _long_run_table(200_000)
-    assert _traced_peak(write_contour_csv, str(tmp_path / "fig.csv"), table) < 1_000_000
+        rng = np.random.default_rng(0)  # 200 000 rows in Y runs of 2000
+        grid = ContourGrid(rng.random(100), rng.random(2000), rng.random((100, 2000)))
+    assert _traced_peak(write_contour_csv, str(tmp_path / "fig.csv"), grid) < 1_000_000
 
 
 def _traced_peak(call, *args):
@@ -608,17 +608,18 @@ def _traced_peak(call, *args):
 
 @pytest.mark.parametrize("y_points,mu_points", [(401, 401), (157, 401), (401, 157)])
 def test_contour_grid_allocates_only_its_table(y_points, mu_points):
-    # The table is built in place, one mu column sweep at a time: no second
-    # grid-sized array (h matrix, repeated Y, tiled mu) exists beside it.
+    # h is built in place, one mu column sweep at a time: no second
+    # grid-sized array (a table of rows, repeated Y, tiled mu) exists beside it.
     surface = parse_scheme_name("hyp-ptd-strang-rk2").surface
-    nbytes = 24 * y_points * mu_points
+    nbytes = 8 * y_points * mu_points
     assert _traced_peak(contour_grid, surface, y_points, mu_points, 2.5) <= nbytes + 256 * 1024
 
 
 def test_figure_grids_hold_one_table_at_a_time(tmp_path):
-    # One 401 x 401 table is 3.86 MB; holding the previous figure's table
-    # while the next is built would read above 7.7 MB.
-    assert _traced_peak(emit_figure_grids, str(tmp_path)) < 5_500_000
+    # One 401 x 401 h array is 1.29 MB and the writer holds about 0.6 MB;
+    # holding the previous figure's grid while the next is built, or a
+    # (Y, mu, h) table of 3.86 MB, reads above 3 MB.
+    assert _traced_peak(emit_figure_grids, str(tmp_path)) < 3_000_000
 
 
 @pytest.mark.parametrize("mu_max", [math.inf, math.nan, -1.0])
@@ -1040,3 +1041,22 @@ def test_benchmark_tracer_names_bind_and_unbind(monkeypatch):
         tracer.uninstall()
     for module, names in zip(modules, before):
         assert all(vars(module)[attr] is value for attr, value in names.items()), module
+
+
+def test_traced_analyze_records_its_contour_and_rows(monkeypatch, tmp_path):
+    """``analyze`` reaches the surface and the writer through the harness
+    names that the benchmark's tracer wraps."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install(psilab.integrators, harness, psilab.cli)
+    try:
+        code = psilab.cli.main(["analyze", "--scheme", "hyp-dtp-lie-fe",
+                                "--out", str(tmp_path / "a.csv"),
+                                "--y-points", "7", "--mu-points", "5"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts[(0, "harness.csv.rows")] == 35
+    assert any(span[0].startswith("amplification.contour:") for span in tracer.spans)
