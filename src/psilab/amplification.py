@@ -286,11 +286,11 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
     return BoundaryResult(0.5 * (lo + hi), worst_y, lo, hi, evals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """A surface tabulated on a lattice: ``h[i, j]`` at (``ys[i]``,
-    ``mus[j]``). Its rows (Y, mu, h) run Y-major, all mu values of the first
-    Y, then the next Y; ``len`` is the row count."""
+    """A surface tabulated on a lattice, ``h[i, j]`` at (``ys[i]``, ``mus[j]``),
+    compared and hashed by identity. Its rows (Y, mu, h) run Y-major, all mu
+    values of the first Y, then the next Y; ``len`` is the row count."""
 
     ys: np.ndarray
     mus: np.ndarray

@@ -848,7 +848,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-#: Rows one ``write_contour_csv`` block formats. A block holds a few
+#: Rows one ``write_contour_csv`` tile formats at most. A tile holds a few
 #: hundred bytes per row and costs a fixed number of numpy calls.
 _CSV_BLOCK_ROWS = 2048
 
@@ -1012,21 +1012,23 @@ def _text_slots(values: np.ndarray) -> np.ndarray:
 
 
 def write_contour_csv(path: str, grid: ContourGrid) -> None:
-    """Write the (Y, mu, h) rows of ``grid``, ``_CSV_BLOCK_ROWS`` at a time;
-    the bytes equal per-value ``format(v, ".17g")``.
-
-    Y and mu are formatted once per file, h per row by the digit kernel.
-    Each block's rows are gathered from these NUL-padded slots, and the NULs
-    are dropped."""
-    y_slots, mu_slots = _text_slots(grid.ys), _text_slots(grid.mus)
-    h = grid.h.reshape(-1)
+    """Write the (Y, mu, h) rows of ``grid`` in tiles of at most
+    ``_CSV_BLOCK_ROWS`` rows, whole Y runs or one Y and a stretch of mu; the
+    bytes equal per-value ``format(v, ".17g")``. A tile formats its Y, and its
+    mu unless the tile before had the same (a short mu axis: once per file),
+    h by the digit kernel; it gathers the NUL-padded slots and drops the NULs."""
+    ys, mus = grid.ys, grid.mus
+    y_step, mu_step = max(1, _CSV_BLOCK_ROWS // len(mus)), min(len(mus), _CSV_BLOCK_ROWS)
+    mu_slots = lru_cache(maxsize=1)(lambda m0: _text_slots(mus[m0:m0 + mu_step]))
     with open(path, "wb") as handle:
         handle.write(b"Y,mu,h\n")
-        for lo in range(0, len(h), _CSV_BLOCK_ROWS):
-            iy, imu = _divmod(np.arange(lo, min(lo + _CSV_BLOCK_ROWS, len(h))), len(grid.mus))
-            chars = np.concatenate([y_slots.take(iy, axis=0), mu_slots.take(imu, axis=0),
-                                    _kernel_slots(h[lo:lo + _CSV_BLOCK_ROWS])], axis=1)
-            handle.write(chars[chars != 0])
+        for y0 in range(0, len(ys), y_step):
+            for m0 in range(0, len(mus), mu_step):
+                tile = grid.h[y0:y0 + y_step, m0:m0 + mu_step]
+                y_text = np.repeat(_text_slots(ys[y0:y0 + y_step]), tile.shape[1], axis=0)
+                chars = np.concatenate([y_text, np.tile(mu_slots(m0), (tile.shape[0], 1)),
+                                        _kernel_slots(tile.reshape(-1))], axis=1)
+                handle.write(chars[chars != 0])
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

@@ -292,3 +292,10 @@ def test_contour_grid_bitwise_matches_the_repeat_tile_table(name, mu_max, y_poin
     want = reference_contour_grid(surface, y_points, mu_points, mu_max)
     assert got.shape == want.shape == (y_points * mu_points, 3) == (len(grid), 3)
     assert got.tobytes() == want.tobytes()
+
+
+def test_contour_grid_compares_and_hashes_by_identity():
+    grid = contour_grid(parse_scheme_name("hyp-dtp-lie-fe").surface, 3, 3, 1.0)
+    twin = contour_grid(parse_scheme_name("hyp-dtp-lie-fe").surface, 3, 3, 1.0)
+    assert grid == grid and grid != twin
+    assert len({grid, twin, grid}) == 2

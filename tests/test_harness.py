@@ -528,7 +528,7 @@ def _figure_grid(scheme_name, mu_max):
 
 
 def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
-    # Y runs across several block seams, the second at -0.0, the third with
+    # Y runs cut into several tiles, the second at -0.0, the third with
     # specials in h.
     rng = np.random.default_rng(0)
     h = rng.random((3, 2 * _CSV_BLOCK_ROWS + 5))
@@ -564,8 +564,23 @@ def _lattice(y_points, mu_points):
 ])
 def test_contour_csv_lattices_across_block_seams(tmp_path, y_points, mu_points):
     # Y runs of 2047-2049 rows, and lattices of 2047-2049 rows, end next to
-    # a block seam; long and short Y runs cross many seams.
+    # a tile's row bound; long and short Y runs cross many tile seams.
     grid = _lattice(y_points, mu_points)
+    write_contour_csv(str(tmp_path / "block.csv"), grid)
+    _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("y_points,mu_points", [(2, 5000), (5000, 2)])
+def test_contour_csv_long_axes_match_per_value_formatting(tmp_path, y_points, mu_points):
+    # A mu axis longer than a tile is cut into tiles within each Y run, and a
+    # long Y axis spans many tiles: specials sit next to the tile seams.
+    rng = np.random.default_rng(1)
+    ys, mus = rng.random(y_points) * 2.0, rng.random(mu_points) * 2.5
+    long_axis = ys if y_points > mu_points else mus
+    long_axis[[0, 1023, 1024, 2047, 2048, 4095, -1]] = (
+        -0.0, math.nan, 1e-300, 0.0, math.inf, -math.nan, 3e20)
+    grid = ContourGrid(ys, mus, rng.random((y_points, mu_points)))
     write_contour_csv(str(tmp_path / "block.csv"), grid)
     _reference_contour_csv(str(tmp_path / "reference.csv"), grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -579,16 +594,23 @@ def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-@pytest.mark.parametrize("shape", ["figure", "long-run"])
+@pytest.mark.parametrize("shape", [
+    pytest.param("figure", id="figure"),
+    pytest.param((100, 2000), id="long-run"),
+    pytest.param((2, 100_000), id="long-mu"),
+    pytest.param((100_000, 2), id="long-y"),
+    pytest.param((1, 200_000), id="one-y"),
+])
 def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
     # A 401 x 401 figure file is about 8 MB of text; the writer holds one
-    # block of _CSV_BLOCK_ROWS rows of it at a time.
+    # tile of at most _CSV_BLOCK_ROWS rows of it at a time, and of a long
+    # axis only the tile's stretch of it.
     if shape == "figure":
         _, scheme_name, mu_max = FIGURE_GRIDS[0]
         grid = _figure_grid(scheme_name, mu_max)
     else:
-        rng = np.random.default_rng(0)  # 200 000 rows in Y runs of 2000
-        grid = ContourGrid(rng.random(100), rng.random(2000), rng.random((100, 2000)))
+        rng = np.random.default_rng(0)
+        grid = ContourGrid(rng.random(shape[0]), rng.random(shape[1]), rng.random(shape))
     assert _traced_peak(write_contour_csv, str(tmp_path / "fig.csv"), grid) < 1_000_000
 
 
