@@ -9,10 +9,8 @@ cross-checked mode by mode.
 """
 
 from .amplification import (
-    AmpQuery,
     BoundaryResult,
     ContourGrid,
-    PoleError,
     amp_p1_p2_p3,
     contour_grid,
     find_boundary,
@@ -28,7 +26,6 @@ from .discretize import (
     coefficient_from_name,
     fourier_mode,
     gauss_legendre_points,
-    mode_coords,
 )
 from .harness import (
     BOUNDARY_SUITE,

@@ -4,8 +4,9 @@ A rank-1 Fourier probe x_m v_k^T (grid mode m, coefficient eigenvector k)
 passes through every scheme as a scalar multiplier. One formula per scheme
 gives two views of it:
 
-* ``mode_multiplier``: the exact complex factor for a signed Courant number,
-  cross-checked elsewhere against the production steppers.
+* ``mode_multiplier``: the exact complex factor at mode coordinates
+  (y, nu, z), floats or broadcasting arrays alike, cross-checked elsewhere
+  against the production steppers over the whole (m, k) lattice.
 * ``stability_surface``: the squared modulus as a function of
   Y = 1 - cos(theta) in [0, 2] and mu = |nu| >= 0, the object the stability
   boundaries and contour grids are built from. Stability of a scheme means
@@ -13,12 +14,16 @@ gives two views of it:
 
 ``amp_p1_p2_p3`` gives the substep factors of the hyperbolic Lie products.
 
+Mode coordinates: y = 1 - cos(theta) in [0, 2] of the grid mode, nu the
+signed Courant number of the coefficient eigendirection, and
+z = +-sqrt(y (2 - y)) = sin(theta), negative for grid modes above the
+Nyquist index (``XGrid.y`` and ``XGrid.z`` hold them per mode).
+
 A diffusion multiplier is a product of implicit factors, each a quotient
 (numerator, denominator) read off the ``SchemeSpec``. One pole rule covers
 them all: a factor whose denominator lies within _POLE_TOL * (1 + |x|) of
-zero is at its resonance. There the array path (surfaces, worst-mode scan)
-yields inf, kept as a sentinel in grid output, and ``mode_multiplier``
-raises PoleError.
+zero is at its resonance, and the multiplier there is inf, a sentinel kept
+in grid output and counted as infinitely unstable by the worst-mode scan.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ import numpy as np
 from .integrators import SchemeSpec
 
 __all__ = [
-    "AmpQuery",
     "BoundaryResult",
     "ContourGrid",
-    "PoleError",
     "Y_GRID",
     "amp_p1_p2_p3",
     "contour_grid",
@@ -69,39 +72,6 @@ _POLE_TOL = 1e-12
 _MAX_HALVINGS = 60  # bisection steps in find_boundary
 
 
-class PoleError(ArithmeticError):
-    """An implicit factor was evaluated at (or too close to) its resonance."""
-
-    def __init__(self, x: float, where: str):
-        super().__init__(f"implicit factor pole near x = {x!r} in {where}")
-        self.x = x
-        self.where = where
-
-
-@dataclass(frozen=True)
-class AmpQuery:
-    """Mode coordinates for a one-step multiplier.
-
-    ``y`` is 1 - cos(theta) of the grid mode, ``nu`` the signed Courant
-    number of the coefficient eigendirection, ``z_sign`` the sign of
-    sin(theta) (grid modes above the Nyquist index carry -1).
-    """
-
-    y: float
-    nu: float
-    z_sign: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.y <= 2.0:
-            raise ValueError(f"y must lie in [0, 2], got {self.y}")
-        if self.z_sign not in (1.0, -1.0):
-            raise ValueError(f"z_sign must be +-1, got {self.z_sign}")
-
-    @property
-    def z(self) -> float:
-        return self.z_sign * math.sqrt(self.y * (2.0 - self.y))
-
-
 # ---------------------------------------------------------------------------
 # one-step multipliers; y, nu and z are floats or arrays alike
 
@@ -111,15 +81,15 @@ def _p1(y, nu, z):
     return (1.0 - abs(nu) * y) - 1j * nu * z
 
 
-def amp_p1_p2_p3(q: AmpQuery) -> tuple[complex, complex, complex, complex]:
-    """Substep factors of the hyperbolic Lie splittings.
+def amp_p1_p2_p3(y, nu, z):
+    """Substep factors of the hyperbolic Lie splittings at (y, nu, z).
 
     Returns (P1, P2 of the projected backward substep, P2 and P3 of the
     reduced central substeps); the products P1^2 * P2 and P1 * P2 * P3 are
     the one-step factors of the two formulations.
     """
-    p1 = _p1(q.y, q.nu, q.z)
-    core = 1j * q.nu * q.z
+    p1 = _p1(y, nu, z)
+    core = 1j * nu * z
     return p1, 2.0 - p1, 1.0 + core, 1.0 - core
 
 
@@ -171,27 +141,16 @@ def _parabolic_multiplier(spec: SchemeSpec, x):
     return g, at_pole
 
 
-def _multiplier(spec: SchemeSpec, y, nu, z):
-    """One-step factor of every scheme on arrays, the single formula behind
-    the stability surfaces and the worst-mode scan; inf at implicit poles."""
-    if spec.equation == "hyperbolic":
-        return _hyperbolic_multiplier(spec, y, nu, z)
-    g, at_pole = _parabolic_multiplier(spec, 2.0 * y * nu)
-    return np.where(at_pole, np.inf, g)
-
-
-def mode_multiplier(spec: SchemeSpec, q: AmpQuery) -> complex:
-    """Exact one-step factor on the rank-1 Fourier probe; PoleError at a pole."""
-    if spec.equation == "hyperbolic":
-        return complex(_hyperbolic_multiplier(spec, q.y, q.nu, q.z))
-    x = 2.0 * q.y * q.nu
-    try:
-        g, at_pole = _parabolic_multiplier(spec, x)
-    except ZeroDivisionError:  # a denominator of exactly zero is at the pole
-        at_pole = True
-    if at_pole:
-        raise PoleError(x, repr(spec))
-    return complex(g)
+def mode_multiplier(spec: SchemeSpec, y, nu, z):
+    """Exact one-step factor of every scheme on the rank-1 Fourier probe at
+    (y, nu, z), floats or arrays that broadcast; inf at implicit poles. The
+    one formula behind the oracle, the worst-mode scan and the surfaces."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.equation == "hyperbolic":
+            return _hyperbolic_multiplier(spec, y, nu, z)
+        # x as a numpy float, so that a zero denominator divides to inf
+        g, at_pole = _parabolic_multiplier(spec, np.multiply(2.0 * y, nu))
+        return np.where(at_pole, np.inf, g)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +163,7 @@ def stability_surface(spec: SchemeSpec):
     def surface(y, mu):
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.abs(_multiplier(spec, y, mu, np.sqrt(y * (2.0 - y)))) ** 2
+            return np.abs(mode_multiplier(spec, y, mu, np.sqrt(y * (2.0 - y)))) ** 2
 
     return surface
 

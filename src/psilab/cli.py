@@ -130,7 +130,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Final and peak norm ratios of the worst Fourier mode for each cfl,
-    which bracket the closed-form threshold empirically."""
+    which bracket the closed-form threshold empirically. A row whose worst
+    mode is neutral (|g| = 1 exactly) is marked with that mode."""
     info = parse_scheme_name(args.scheme)
     hyperbolic = info.spec.equation == "hyperbolic"
     cfls = args.cfl
@@ -159,14 +160,16 @@ def _cmd_sweep(args) -> int:
         modes = ", ".join(sorted({f"({m}, {k})" for m, k, _ in scans}))
         print(f"  note: no mode grows at these cfl values; every run marches the "
               f"neutral mode {modes}, where |g| = 1")
-    for cfg in configs:
+    for cfg, (m, k, growth) in zip(configs, scans):
         records = run_simulation(cfg)
         initial = records[0].frobenius
         final = records[-1].frobenius / initial
         peak = max(r.frobenius for r in records) / initial
         verdict = "stable" if stability_verdict(records) else "GROWING"
+        # a run on a neutral mode cannot grow, so its verdict says nothing
+        neutral = f" neutral ({m}, {k})" if growth == 1.0 else ""
         print(f"  cfl = {cfg.cfl:<8g} final/initial = {final:<12.6g} "
-              f"peak/initial = {peak:<12.6g} {verdict}")
+              f"peak/initial = {peak:<12.6g} {verdict}{neutral}")
     return 0
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import Diagonalization, SpectralDecomposition, matrix_abs, require_finite, sym_eig
 
 __all__ = [
-    "ModeCoordinates",
     "VDiscretization",
     "XGrid",
     "build_modal",
@@ -28,7 +27,6 @@ __all__ = [
     "coefficient_from_name",
     "fourier_mode",
     "gauss_legendre_points",
-    "mode_coords",
 ]
 
 # Parabolic runs require a nonnegative coefficient spectrum; eigenvalues above
@@ -84,7 +82,8 @@ class XGrid:
     both with wraparound along the grid axis of an array: the rows of a
     matrix or of each matrix in a stack, the entries of a vector;
     ``stencils`` gives both from one padded copy. Both are circulant: FFT
-    mode m is an eigenvector, and ``beta`` multiplies it by -``two_y``[m].
+    mode m is an eigenvector, ``alpha`` multiplies it by 2i ``z``[m] and
+    ``beta`` by -``two_y``[m].
     """
 
     n_x: int
@@ -109,9 +108,21 @@ class XGrid:
         return _first_difference(p).swapaxes(0, -2), _second_difference(p).swapaxes(0, -2)
 
     @cached_property
+    def y(self) -> np.ndarray:
+        """Y_m = 1 - cos(theta_m), theta_m = 2 pi m / n_x, for each FFT mode m."""
+        return 1.0 - np.cos(2.0 * np.pi * np.arange(self.n_x) / self.n_x)
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """Z_m = sin(theta_m) as +-sqrt(Y_m (2 - Y_m)), negative above the
+        Nyquist index, for each FFT mode m."""
+        z = np.sqrt(self.y * (2.0 - self.y))
+        return np.where(2 * np.arange(self.n_x) > self.n_x, -z, z)
+
+    @cached_property
     def two_y(self) -> np.ndarray:
-        """2 Y_m = 2 (1 - cos(2 pi m / n_x)) for each FFT mode m."""
-        return 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(self.n_x) / self.n_x))
+        """2 Y_m for each FFT mode m."""
+        return 2.0 * self.y
 
     @cached_property
     def beta_eig(self) -> Diagonalization:
@@ -153,19 +164,6 @@ def _second_difference(p: np.ndarray) -> np.ndarray:
     out = p[2:] + p[:-2]
     out -= 2.0 * p[1:-1]
     return out
-
-
-@dataclass(frozen=True)
-class ModeCoordinates:
-    """Trigonometric shorthand of Fourier mode m on an n_x-point grid."""
-
-    m: int
-    n_x: int
-    theta: float
-    y: float
-    z: float
-    alpha: complex
-    beta: float
 
 
 def coefficient_from_name(text: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -260,20 +258,3 @@ def fourier_mode(m: int, n_x: int) -> np.ndarray:
     j = np.arange(n_x)
     return np.exp(2j * np.pi * m * j / n_x)
 
-
-def mode_coords(m: int, n_x: int) -> ModeCoordinates:
-    """Angle theta = 2*pi*m/n_x and the derived symbols of mode m.
-
-    y = 1 - cos(theta) lies in [0, 2], z = sin(theta) (signed), alpha = 2iz
-    and beta = -2y are the eigenvalues of the first/second difference
-    stencils on that mode.
-    """
-    if not 0 <= m < n_x:
-        raise ValueError(f"mode index m={m} outside [0, {n_x})")
-    theta = 2.0 * np.pi * m / n_x
-    y = 1.0 - np.cos(theta)
-    z = np.sin(theta)
-    return ModeCoordinates(
-        m=m, n_x=n_x, theta=theta, y=float(y), z=float(z),
-        alpha=complex(0.0, 2.0 * z), beta=float(-2.0 * y),
-    )

@@ -19,18 +19,14 @@ from typing import Callable
 import numpy as np
 
 from .amplification import (
-    AmpQuery,
     BoundaryResult,
     ContourGrid,
-    PoleError,
-    _multiplier,
     contour_grid,
     find_boundary,
     mode_multiplier,
     stability_surface,
 )
 from .discretize import (
-    ModeCoordinates,
     VDiscretization,
     XGrid,
     build_modal,
@@ -38,7 +34,6 @@ from .discretize import (
     build_xgrid,
     coefficient_from_name,
     gauss_legendre_points,
-    mode_coords,
 )
 from .integrators import LowRankState, SchemeSpec, reconstruct, step
 from .linalg import SingularMatrixError, frobenius_norm, qr_thin
@@ -75,10 +70,9 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-8
 
-# Relative window below the largest array-evaluated growth inside which the
-# worst-mode scan re-evaluates modes with the scalar multiplier. Numpy's
-# complex kernels and Python's complex arithmetic round differently, by a
-# few ulps; the window is far wider than that.
+# Relative window below the largest |G| inside which the worst-mode scan
+# counts a mode as tied with the maximum. Modes m and N_x - m tie in exact
+# arithmetic but differ in roundoff by a few ulps; the window is far wider.
 _TIE_WINDOW = 1e-9
 
 
@@ -95,9 +89,7 @@ class NumericalError(RuntimeError):
 
 
 #: Stepper failures that mean the run itself broke down numerically.
-_NUMERICAL_FAILURES = (
-    SingularMatrixError, PoleError, np.linalg.LinAlgError, FloatingPointError,
-)
+_NUMERICAL_FAILURES = (SingularMatrixError, np.linalg.LinAlgError, FloatingPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +467,24 @@ def measured_mode_multipliers(
 def expected_mode_multiplier(
     spec: SchemeSpec, m: int, k: int, vdisc: VDiscretization, grid: XGrid, dt: float
 ) -> complex:
-    """Closed-form multiplier at the signed Courant number of mode (m, k)."""
-    coords = mode_coords(m, grid.n_x)
+    """Closed-form multiplier at the signed Courant number of mode (m, k):
+    entry (m, k) of ``_multiplier_lattice``."""
+    if not 0 <= m < grid.n_x:
+        raise ValueError(f"mode index m={m} outside [0, {grid.n_x})")
     if not 0 <= k < vdisc.size:
         raise ValueError(f"eigendirection index k={k} outside [0, {vdisc.size})")
-    return _closed_form(spec, coords, float(_courant_numbers(spec, vdisc, grid, dt)[k]))
+    return complex(_multiplier_lattice(spec, vdisc, grid, dt)[m, k])
 
 
-def _courant_numbers(
+def _multiplier_lattice(
     spec: SchemeSpec, vdisc: VDiscretization, grid: XGrid, dt: float
 ) -> np.ndarray:
-    """Signed Courant number of each eigendirection."""
+    """G(m, k) over every Fourier mode m (rows) and eigendirection k
+    (columns), inf at implicit poles: one ``mode_multiplier`` call on the
+    modes' y and z as columns against the signed Courant numbers as a row."""
     dx = grid.dx if spec.equation == "hyperbolic" else grid.dx**2
-    return vdisc.spectrum.eigenvalues * dt / dx
-
-
-def _closed_form(spec: SchemeSpec, coords: ModeCoordinates, nu: float) -> complex:
-    """``mode_multiplier`` of the mode at ``coords`` with Courant number nu."""
-    z_sign = -1.0 if coords.z < 0.0 else 1.0
-    return mode_multiplier(spec, AmpQuery(y=coords.y, nu=nu, z_sign=z_sign))
+    nu = vdisc.spectrum.eigenvalues * dt / dx
+    return mode_multiplier(spec, grid.y[:, None], nu[None, :], grid.z[:, None])
 
 
 @dataclass(frozen=True)
@@ -523,7 +514,7 @@ def run_oracle_suite(
     """Measured vs closed-form multipliers over every (m, k) pair.
 
     All n_x * n_v probes advance as one stack in a single production step;
-    each expected value is the scalar closed form. The default Courant
+    the expected values are one ``_multiplier_lattice``. The default Courant
     numbers (0.3 hyperbolic, 0.2 parabolic) keep every implicit substep away
     from its resonance for the registry coefficients.
     """
@@ -538,13 +529,10 @@ def run_oracle_suite(
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
     ms, ks = np.divmod(np.arange(n_x * n_v), n_v)  # every (m, k) in (m, k) order
     measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
-    # expected_mode_multiplier's values, with each mode's coordinates and
-    # each eigendirection's Courant number formed once
-    coords = [mode_coords(m, n_x) for m in range(n_x)]
-    nus = _courant_numbers(spec, vdisc, grid, dt).tolist()
+    expected = _multiplier_lattice(spec, vdisc, grid, dt).reshape(-1)  # (m, k) order
     return [
-        OracleRow(scheme_name, v_mode, m, k, complex(g), _closed_form(spec, coords[m], nus[k]))
-        for m, k, g in zip(ms.tolist(), ks.tolist(), measured)
+        OracleRow(scheme_name, v_mode, m, k, complex(g), complex(want))
+        for m, k, g, want in zip(ms.tolist(), ks.tolist(), measured, expected)
     ]
 
 
@@ -750,36 +738,23 @@ def _mode_probe_state(
 def _worst_mode(
     spec: SchemeSpec, vdisc: VDiscretization, grid: XGrid, dt: float
 ) -> tuple[int, int, float]:
-    """Argmax (m, k) of |closed-form multiplier| over all modes, first index
-    winning, and |g| there.
+    """The mode (m, k) a worst-mode run starts from, and |g| there.
 
-    A pole counts as infinitely unstable, |g| = inf. Random data can hide a
-    weak instability for many steps; the sharpest mode cannot.
-
-    One array evaluation covers the (m, k) grid. Modes m and N_x - m tie in
-    exact arithmetic, so which one wins is settled in roundoff: every mode
-    within _TIE_WINDOW of the array maximum is evaluated again by the scalar
-    multiplier, in (m outer, k inner) order, and the first maximum of those
-    values wins, exactly as a scalar loop over all modes would pick.
+    The pick is the first (m, k), in (m outer, k inner) order, whose |g|
+    lies within _TIE_WINDOW of the largest |g| on the ``_multiplier_lattice``.
+    A pole counts as infinitely unstable, |g| = inf, and NaN as -1, so it
+    never wins. Random data can hide a weak instability for many steps; the
+    sharpest mode cannot. The window settles the ties of exact arithmetic,
+    modes m and N_x - m, and lets a neutral mode (0, 0) stand for a growth
+    of a few ulps.
     """
-    # y and z as mode_coords computes them.
-    theta = 2.0 * np.pi * np.arange(grid.n_x) / grid.n_x
-    y = 1.0 - np.cos(theta)
-    z = np.where(np.sin(theta) < 0.0, -1.0, 1.0) * np.sqrt(y * (2.0 - y))
-    nu = _courant_numbers(spec, vdisc, grid, dt)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = _multiplier(spec, y[:, None], nu[None, :], z[:, None])
-    growth = np.abs(g)
-    growth[np.isnan(growth)] = -1.0  # a scalar loop never picks NaN
-    worst = (0, 0, -1.0)
-    for m, k in np.argwhere(growth >= growth.max() * (1.0 - _TIE_WINDOW)).tolist():
-        try:  # expected_mode_multiplier's value
-            value = abs(_closed_form(spec, mode_coords(m, grid.n_x), float(nu[k])))
-        except PoleError:
-            value = math.inf
-        if value > worst[2]:
-            worst = (m, k, value)
-    return worst
+    growth = np.abs(_multiplier_lattice(spec, vdisc, grid, dt))
+    growth[np.isnan(growth)] = -1.0
+    top = growth.max()
+    # min: a window below a negative maximum (every mode NaN) lies above it
+    first = int(np.argmax(growth >= min(top, top * (1.0 - _TIE_WINDOW))))
+    m, k = divmod(first, growth.shape[1])
+    return m, k, float(growth[m, k])
 
 
 def initial_state(

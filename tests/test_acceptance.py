@@ -8,8 +8,7 @@ import time
 
 import numpy as np
 
-from psilab.amplification import AmpQuery, mode_multiplier
-from psilab.discretize import mode_coords
+from psilab.amplification import mode_multiplier
 from psilab.harness import (
     ExperimentConfig,
     parabolic_mode_equivalence,
@@ -188,16 +187,16 @@ def test_criterion_8_property_suites():
 
     # mode algebra for every mode of several grids
     for n_x in (3, 4, 8, 16, 64, 128):
-        for m in range(n_x):
-            mc = mode_coords(m, n_x)
-            assert abs(mc.z**2 - mc.y * (2.0 - mc.y)) <= 1e-12
+        modes = build_xgrid(n_x, 2.0 * np.pi / n_x)
+        for y, z in zip(modes.y, modes.z):
+            assert abs(z**2 - y * (2.0 - y)) <= 1e-12
 
     # Strang Crank-Nicolson composite telescopes to plain Crank-Nicolson
     # (the multiplier at x = 2*Y*nu, read at Y = 1/2 and nu = x)
     xs = np.concatenate([np.linspace(0.0, 50.0, 2001), np.geomspace(50.0, 1e6, 200)])
     strang_cn = parse_scheme_name("par-strang-cn").spec
     worst_cn = max(
-        abs(mode_multiplier(strang_cn, AmpQuery(0.5, float(x)))
+        abs(mode_multiplier(strang_cn, 0.5, float(x), np.sqrt(0.75))
             - (1.0 - 0.5 * x) / (1.0 + 0.5 * x))
         for x in xs
     )

@@ -18,7 +18,6 @@ from psilab.discretize import (
     coefficient_from_name,
     fourier_mode,
     gauss_legendre_points,
-    mode_coords,
 )
 from reference_kernels import dense_alpha, dense_beta, reference_stencils
 
@@ -93,9 +92,9 @@ def test_fourier_modes_are_stencil_eigenvectors(n_x):
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     for m in range(n_x):
         mode = fourier_mode(m, n_x)
-        mc = mode_coords(m, n_x)
-        np.testing.assert_allclose(dense_alpha(grid) @ mode, mc.alpha * mode, atol=1e-12)
-        np.testing.assert_allclose(dense_beta(grid) @ mode, mc.beta * mode, atol=1e-12)
+        alpha, beta = 2j * grid.z[m], -grid.two_y[m]
+        np.testing.assert_allclose(dense_alpha(grid) @ mode, alpha * mode, atol=1e-12)
+        np.testing.assert_allclose(dense_beta(grid) @ mode, beta * mode, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
@@ -145,7 +144,7 @@ def test_two_y_is_the_second_difference_symbol(n_x):
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     for m in range(n_x):
         mode = fourier_mode(m, n_x)
-        assert grid.two_y[m] == pytest.approx(-mode_coords(m, n_x).beta, abs=1e-15)
+        assert grid.two_y[m] == 2.0 * grid.y[m]
         np.testing.assert_allclose(grid.beta(mode), -grid.two_y[m] * mode, atol=1e-12)
 
 
@@ -153,15 +152,16 @@ def test_two_y_is_the_second_difference_symbol(n_x):
 @given(st.integers(3, 256).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 255))))
 def test_mode_coordinate_identities(pair):
     n_x, m = pair
-    mc = mode_coords(m % n_x, n_x)
-    assert 0.0 <= mc.y <= 2.0
-    assert mc.z**2 == pytest.approx(mc.y * (2.0 - mc.y), abs=1e-12)
-    assert mc.alpha == pytest.approx(2j * mc.z, abs=1e-14)
-    assert mc.beta == pytest.approx(-2.0 * mc.y, abs=1e-14)
+    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    y, z = grid.y[m % n_x], grid.z[m % n_x]
+    assert 0.0 <= y <= 2.0
+    assert z**2 == pytest.approx(y * (2.0 - y), abs=1e-12)
+    assert z == pytest.approx(np.sin(2.0 * np.pi * (m % n_x) / n_x), abs=1e-12)
+    assert grid.two_y[m % n_x] == 2.0 * y
 
 
 def test_mode_y_covers_zero_to_two():
-    ys = [mode_coords(m, 16).y for m in range(16)]
+    ys = build_xgrid(16, 2.0 * np.pi / 16).y
     assert min(ys) == 0.0
     assert max(ys) == pytest.approx(2.0)
 

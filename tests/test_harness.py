@@ -47,7 +47,7 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import ContourGrid, PoleError, contour_grid
+from psilab.amplification import ContourGrid, contour_grid
 from psilab.discretize import build_xgrid
 from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode
 
@@ -289,38 +289,37 @@ def test_worst_mode_below_threshold_is_exactly_flat():
     assert max(norms) / min(norms) - 1.0 < 1e-12
 
 
-def _worst_mode_by_loop(spec, vdisc, grid, dt):
-    """Reference scan: one scalar multiplier per (m, k), first maximum wins;
-    (m, k, |g|)."""
-    best, best_mk = -1.0, (0, 0)
-    for m in range(grid.n_x):
-        for k in range(vdisc.size):
-            try:
-                growth = abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
-            except PoleError:
-                growth = np.inf
-            if growth > best:
-                best, best_mk = growth, (m, k)
-    return (*best_mk, best)
+def _worst_mode_by_policy(spec, vdisc, grid, dt):
+    """Reference pick: a Python loop over the lattice's |G| in (m, k) order,
+    NaN read as -1 and a pole as inf; the first mode within the tie window
+    of the largest wins. (m, k, |g|)."""
+    lattice = np.abs(harness._multiplier_lattice(spec, vdisc, grid, dt)).tolist()
+    growth = [[-1.0 if math.isnan(g) else g for g in row] for row in lattice]
+    top = max(max(row) for row in growth)
+    window = harness._TIE_WINDOW * top if math.isfinite(top) else 0.0
+    for m, row in enumerate(growth):
+        for k, g in enumerate(row):
+            if g >= top or top - g <= window:
+                return m, k, g
 
 
-def _assert_scan_matches_loop(name, n_x, coefficient, n_v, cfl):
+def _assert_scan_follows_policy(name, n_x, coefficient, n_v, cfl):
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc(coefficient, "nodal", n_v)
     grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
-    assert _worst_mode(spec, vdisc, grid, dt) == _worst_mode_by_loop(
+    assert _worst_mode(spec, vdisc, grid, dt) == _worst_mode_by_policy(
         spec, vdisc, grid, dt
     )
 
 
 @pytest.mark.parametrize("name", VERIFY_SCHEMES)
-def test_worst_mode_scan_matches_scalar_loop(name):
+def test_worst_mode_scan_follows_the_tie_policy(name):
     # cfl 0.34 puts the Lie schemes above threshold, where modes m and
     # N_x - m tie in exact arithmetic; par cfl 0.25 hits the theta = 1 pole.
     hyper = name.startswith("hyp")
     for n_x in (16, 64, 256, 1024):
-        _assert_scan_matches_loop(
+        _assert_scan_follows_policy(
             name, n_x, "linear" if hyper else "square", 4, 0.34 if hyper else 0.25
         )
 
@@ -339,8 +338,49 @@ def test_worst_mode_scan_matches_scalar_loop(name):
         ("par-full-theta0.5", 256, "square", 0.2),
     ],
 )
-def test_worst_mode_scan_matches_scalar_loop_on_march_configs(name, n_x, coefficient, cfl):
-    _assert_scan_matches_loop(name, n_x, coefficient, 16, cfl)
+def test_worst_mode_scan_follows_the_tie_policy_on_march_configs(name, n_x, coefficient, cfl):
+    _assert_scan_follows_policy(name, n_x, coefficient, 16, cfl)
+
+
+@pytest.mark.parametrize(
+    "name,n_x,n_v,coefficient,cfl,want",
+    [
+        # Modes 1 and 15 tie in exact arithmetic; the first in order wins.
+        ("hyp-dtp-lie-fe", 16, 4, "linear", 0.3633, (1, 0)),
+        # Every |g| is 1 in exact arithmetic; the constant mode comes first.
+        ("hyp-full-fe", 1024, 16, "linear", 1.0, (0, 0)),
+        # The worst-mode configs of the benchmark marches.
+        ("hyp-dtp-lie-fe", 64, 16, "linear", 0.34, (1, 0)),
+        ("hyp-ptd-strang-rk2", 64, 16, "linear", 1.9, (0, 0)),
+        ("hyp-ptd-lie-fe", 1024, 16, "linear", 0.3, (0, 0)),
+        ("par-strang-cn", 256, 16, "square", 5.0, (0, 0)),
+    ],
+)
+def test_worst_mode_picks_the_first_mode_in_the_tie_window(name, n_x, n_v, coefficient,
+                                                            cfl, want):
+    spec = parse_scheme_name(name).spec
+    cfg = ExperimentConfig(scheme=spec, n_x=n_x, n_v=n_v, rank=1, cfl=cfl, steps=1,
+                           coefficient=coefficient)
+    vdisc, grid, dt = build_problem(cfg)
+    m, k, growth = _worst_mode(spec, vdisc, grid, dt)
+    assert (m, k) == want
+    assert growth == abs(expected_mode_multiplier(spec, m, k, vdisc, grid, dt))
+    if want == (0, 0):
+        assert growth == 1.0
+
+
+def test_expected_mode_multiplier_rejects_indices_outside_the_lattice():
+    """A lattice index out of range raises; a negative m would otherwise
+    wrap to mode N_x + m."""
+    spec = parse_scheme_name("hyp-dtp-lie-fe").spec
+    vdisc = build_vdisc("linear", "nodal", 4)
+    grid = build_xgrid(16, 2.0 * np.pi / 16)
+    for m in (-1, 16):
+        with pytest.raises(ValueError, match=rf"m={m} outside \[0, 16\)"):
+            expected_mode_multiplier(spec, m, 0, vdisc, grid, 0.1)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=rf"k={k} outside \[0, 4\)"):
+            expected_mode_multiplier(spec, 0, k, vdisc, grid, 0.1)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
@@ -379,9 +419,8 @@ def test_oracle_suite_zero_cfl_is_exactly_unit():
 @pytest.mark.parametrize("v_mode", ["nodal", "modal"])
 @pytest.mark.parametrize("name", ["hyp-ptd-strang-rk2", "par-dtp-lie-theta0.5"])
 def test_oracle_rows_expect_the_scalar_closed_form_bitwise(name, v_mode):
-    """Each oracle row's expected value is expected_mode_multiplier of its
-    (m, k), bit for bit, though the suite forms each mode's coordinates
-    once."""
+    """Each oracle row's expected value is entry (m, k) of the multiplier
+    lattice, and expected_mode_multiplier of its (m, k), bit for bit."""
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc("linear", v_mode, 4)
     grid = build_xgrid(16, 2.0 * np.pi / 16)
@@ -389,10 +428,13 @@ def test_oracle_rows_expect_the_scalar_closed_form_bitwise(name, v_mode):
     dt = derive_dt(spec.equation, cfl, 16, vdisc, strict=False)
     rows = run_oracle_suite(name, v_mode=v_mode)
     assert [(row.m, row.k) for row in rows] == [(m, k) for m in range(16) for k in range(4)]
+    lattice = harness._multiplier_lattice(spec, vdisc, grid, dt)
     for row in rows:
         want = expected_mode_multiplier(spec, row.m, row.k, vdisc, grid, dt)
         assert type(row.expected) is complex
         assert np.complex128(row.expected).tobytes() == np.complex128(want).tobytes()
+        assert (np.complex128(row.expected).tobytes()
+                == np.complex128(lattice[row.m, row.k]).tobytes())
 
 
 def test_boundary_suite_thresholds_match_simulations():
@@ -882,9 +924,24 @@ def test_sweep_notes_a_neutral_worst_mode(capsys):
     assert lines[1] == ("  note: no mode grows at these cfl values; every run marches "
                         "the neutral mode (0, 0), where |g| = 1")
     assert len(lines) == 7 and all(line.startswith("  cfl = ") for line in lines[2:])
+    assert all(line.endswith(" stable neutral (0, 0)") for line in lines[2:])
     assert cli_main(["sweep", "--scheme", "hyp-dtp-lie-fe", "--steps", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6 and all(line.startswith("  cfl = ") for line in lines[1:])
+
+
+def test_sweep_marks_each_row_that_marches_a_neutral_mode(capsys):
+    """Below threshold the worst mode is the neutral (0, 0), so a stable
+    verdict there shows nothing; those rows name the mode, and the rows
+    whose mode grows do not."""
+    assert cli_main(["sweep"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "hyp-dtp-lie-fe: worst-mode sweep, 1000 steps, N_x = 64"
+    rows = lines[1:]
+    assert [row.split()[2] for row in rows] == ["0.3133", "0.3233", "0.3333", "0.3433",
+                                                "0.3533"]
+    assert [row.endswith(" stable neutral (0, 0)") for row in rows] == [True] * 3 + [False] * 2
+    assert all("neutral" not in row and row.endswith(" GROWING") for row in rows[3:])
 
 
 def test_worst_mode_is_the_mode_the_run_starts_from():
@@ -1038,7 +1095,7 @@ def test_cli_sweep_rows(capsys):
     assert code == 0
     assert lines[0] == "hyp-dtp-lie-fe: worst-mode sweep, 200 steps, N_x = 32"
     assert len(lines) == 3
-    assert lines[1].startswith("  cfl = 0.3 ") and lines[1].endswith(" stable")
+    assert lines[1].startswith("  cfl = 0.3 ") and lines[1].endswith(" stable neutral (0, 0)")
     assert lines[2].startswith("  cfl = 0.4 ") and lines[2].endswith(" GROWING")
 
 
