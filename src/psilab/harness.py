@@ -44,7 +44,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "NumericalError",
-    "OracleRow",
     "RunRecord",
     "SchemeInfo",
     "VERIFY_SCHEMES",
@@ -437,6 +436,8 @@ def complex_mode_probes(ms, ks, vdisc: VDiscretization, grid: XGrid) -> LowRankS
         raise ValueError(f"mode indices {ms.shape} and eigendirection indices {ks.shape} differ")
     n_x = grid.n_x
     for what, indices, n in (("mode", ms, n_x), ("eigendirection", ks, vdisc.size)):
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"{what} indices must be integers, got {indices.dtype}")
         outside = (indices < 0) | (indices >= n)
         if outside.any():
             raise ValueError(f"{what} indices {indices[outside].tolist()} outside [0, {n})")
@@ -487,22 +488,6 @@ def _multiplier_lattice(
     return mode_multiplier(spec, grid.y[:, None], nu[None, :], grid.z[:, None])
 
 
-@dataclass(frozen=True)
-class OracleRow:
-    """One (mode, eigendirection) comparison of stepper vs closed form."""
-
-    scheme: str
-    v_mode: str
-    m: int
-    k: int
-    measured: complex
-    expected: complex
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.measured - self.expected)
-
-
 def run_oracle_suite(
     scheme_name: str,
     n_x: int = 16,
@@ -510,11 +495,12 @@ def run_oracle_suite(
     coefficient: str = "linear",
     v_mode: str = "nodal",
     cfl: float | None = None,
-) -> list[OracleRow]:
-    """Measured vs closed-form multipliers over every (m, k) pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured and closed-form multipliers over every (m, k) pair, as two
+    (N_x, N_v) complex lattices: Fourier mode m down, eigendirection k across.
 
     All n_x * n_v probes advance as one stack in a single production step;
-    the expected values are one ``_multiplier_lattice``. The default Courant
+    the expected lattice is one ``_multiplier_lattice``. The default Courant
     numbers (0.3 hyperbolic, 0.2 parabolic) keep every implicit substep away
     from its resonance for the registry coefficients.
     """
@@ -529,11 +515,16 @@ def run_oracle_suite(
     dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
     ms, ks = np.divmod(np.arange(n_x * n_v), n_v)  # every (m, k) in (m, k) order
     measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
-    expected = _multiplier_lattice(spec, vdisc, grid, dt).reshape(-1)  # (m, k) order
-    return [
-        OracleRow(scheme_name, v_mode, m, k, complex(g), complex(want))
-        for m, k, g, want in zip(ms.tolist(), ks.tolist(), measured, expected)
-    ]
+    expected = _multiplier_lattice(spec, vdisc, grid, dt)
+    return measured.reshape(n_x, n_v), expected.astype(np.complex128, copy=False)
+
+
+def _discrepancy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| per mode, NaN read as inf, so a NaN on either side is the
+    worst mode and fails every bound."""
+    gap = np.abs(a - b)
+    gap[np.isnan(gap)] = np.inf
+    return gap
 
 
 def verify_report(
@@ -542,22 +533,22 @@ def verify_report(
     """Oracle sweep over schemes x {nodal, modal} with a(v) = v on the
     default 16 x 4 grid.
 
-    Returns printable per-suite lines and the overall maximum discrepancy.
-    Each line names the suite's worst mode (m, k); on ties, the first in
-    (m, k) order.
+    Returns printable per-suite lines and the overall maximum discrepancy,
+    ``inf`` if any mode is NaN. Each line names the suite's worst mode
+    (m, k); on ties, the first in (m, k) order.
     """
     names = tuple(scheme_names) if scheme_names else VERIFY_SCHEMES
     lines = []
     overall = 0.0
     for name in names:
         for v_mode in ("nodal", "modal"):
-            rows = run_oracle_suite(name, v_mode=v_mode)
-            worst = max(rows, key=lambda row: row.discrepancy)
-            overall = max(overall, worst.discrepancy)
+            gap = _discrepancy(*run_oracle_suite(name, v_mode=v_mode))
+            m, k = divmod(int(np.argmax(gap)), gap.shape[1])
+            worst = float(gap[m, k])
+            overall = max(overall, worst)
             lines.append(
-                f"{name:<22s} {v_mode:<6s} modes={len(rows):3d}  "
-                f"max|measured - closed_form| = {worst.discrepancy:.3e} "
-                f"at ({worst.m}, {worst.k})"
+                f"{name:<22s} {v_mode:<6s} modes={gap.size:3d}  "
+                f"max|measured - closed_form| = {worst:.3e} at ({m}, {k})"
             )
     return lines, overall
 
@@ -570,18 +561,19 @@ def parabolic_mode_equivalence(
     v_mode: str = "nodal",
     cfl: float = 0.2,
 ) -> float:
-    """Max per-mode difference between the two low-rank diffusion routes.
+    """Max per-mode difference between the two low-rank diffusion routes,
+    ``inf`` if either route gives a NaN.
 
     Both formulations act identically on rank-1 probes; the routes differ
     only in how the projected products are grouped, so the gap is roundoff.
     The measured multipliers are ``run_oracle_suite``'s, under its size cap.
     """
-    dtp, ptd = (
+    (dtp, _), (ptd, _) = (
         run_oracle_suite(f"par-{approach}-lie-theta{float(theta)!r}", n_x, n_v,
                          coefficient, v_mode, cfl)
         for approach in ("dtp", "ptd")
     )
-    return max(abs(a.measured - b.measured) for a, b in zip(dtp, ptd))
+    return float(_discrepancy(dtp, ptd).max())
 
 
 # ---------------------------------------------------------------------------

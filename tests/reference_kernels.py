@@ -13,7 +13,9 @@ bookkeeping around them byte for byte.
 F^H F - I through a coercing ``np.asarray`` and ``frobenius_norm``;
 ``reference_stencils`` is ``XGrid.stencils`` through ``np.asarray`` and a
 stack's swapped axes, with its own periodic pad; ``dense_alpha`` and
-``dense_beta`` are the N_x x N_x matrices of a grid's stencils.
+``dense_beta`` are the N_x x N_x matrices of a grid's stencils;
+``implicit_columns`` solves the implicit systems that ``_implicit_solve``
+solves in eigenbases by one dense LU (``solve_dense``) per eigencolumn.
 
 ``reference_contour_grid`` is ``contour_grid``'s earlier body: a separate h
 matrix, then Y and mu columns from ``np.repeat`` and ``np.tile``.
@@ -30,6 +32,7 @@ from psilab.linalg import (
     _complete_rank,
     _lapack_qr,
     frobenius_norm,
+    solve_dense,
     sym_eig,
 )
 
@@ -124,6 +127,15 @@ def dense_alpha(grid):
 def dense_beta(grid):
     """Dense matrix of ``grid.beta``."""
     return grid.beta(np.identity(grid.n_x))
+
+
+def implicit_columns(rhs, op, dec, scale: float):
+    """Dense-LU reference for ``_implicit_solve``: solve
+    (I - scale*lam_k*op) u_k = rhs_k per eigencolumn k of the right
+    coefficient, by one LU per column."""
+    rot, eye = dec.eigenvectors, np.identity(op.shape[0])
+    cols = zip(dec.eigenvalues, (rhs @ rot).T)
+    return np.stack([solve_dense(eye - scale * lam * op, b) for lam, b in cols], axis=1) @ rot.T
 
 
 def reference_contour_grid(surface, y_points, mu_points, mu_max):

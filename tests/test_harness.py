@@ -24,7 +24,6 @@ from psilab.harness import (
     ConfigError,
     ExperimentConfig,
     NumericalError,
-    OracleRow,
     RunRecord,
     build_problem,
     derive_dt,
@@ -412,29 +411,33 @@ def test_derive_dt_formulas():
 
 def test_oracle_suite_zero_cfl_is_exactly_unit():
     for name in ("hyp-dtp-lie-fe", "hyp-ptd-strang-rk2", "par-hybrid"):
-        rows = run_oracle_suite(name, n_x=8, n_v=2, cfl=0.0)
-        assert all(r.measured == 1.0 and r.expected == 1.0 for r in rows)
+        measured, expected = run_oracle_suite(name, n_x=8, n_v=2, cfl=0.0)
+        assert measured.shape == expected.shape == (8, 2)
+        assert (measured == 1.0).all() and (expected == 1.0).all()
 
 
 @pytest.mark.parametrize("v_mode", ["nodal", "modal"])
 @pytest.mark.parametrize("name", ["hyp-ptd-strang-rk2", "par-dtp-lie-theta0.5"])
 def test_oracle_rows_expect_the_scalar_closed_form_bitwise(name, v_mode):
-    """Each oracle row's expected value is entry (m, k) of the multiplier
-    lattice, and expected_mode_multiplier of its (m, k), bit for bit."""
+    """The oracle's expected lattice is the multiplier lattice, and its entry
+    (m, k) is expected_mode_multiplier of (m, k), bit for bit; the measured
+    lattice holds the stacked probes' multipliers in the same (m, k) layout."""
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc("linear", v_mode, 4)
     grid = build_xgrid(16, 2.0 * np.pi / 16)
     cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
     dt = derive_dt(spec.equation, cfl, 16, vdisc, strict=False)
-    rows = run_oracle_suite(name, v_mode=v_mode)
-    assert [(row.m, row.k) for row in rows] == [(m, k) for m in range(16) for k in range(4)]
+    measured, expected = run_oracle_suite(name, v_mode=v_mode)
+    assert measured.shape == expected.shape == (16, 4)
+    assert measured.dtype == expected.dtype == np.complex128
+    ms, ks = np.divmod(np.arange(64), 4)
+    stacked = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
+    assert measured.tobytes() == stacked.tobytes()
     lattice = harness._multiplier_lattice(spec, vdisc, grid, dt)
-    for row in rows:
-        want = expected_mode_multiplier(spec, row.m, row.k, vdisc, grid, dt)
-        assert type(row.expected) is complex
-        assert np.complex128(row.expected).tobytes() == np.complex128(want).tobytes()
-        assert (np.complex128(row.expected).tobytes()
-                == np.complex128(lattice[row.m, row.k]).tobytes())
+    assert expected.tobytes() == lattice.astype(np.complex128).tobytes()
+    for m, k in zip(ms.tolist(), ks.tolist()):
+        want = expected_mode_multiplier(spec, m, k, vdisc, grid, dt)
+        assert np.complex128(expected[m, k]).tobytes() == np.complex128(want).tobytes()
 
 
 def test_boundary_suite_thresholds_match_simulations():
@@ -814,13 +817,52 @@ def test_cli_verify_single_family(capsys):
 
 def test_verify_names_first_worst_mode(monkeypatch):
     def fake_suite(name, v_mode):
-        gaps = {(0, 0): 1e-15, (0, 1): 3e-15, (1, 0): 3e-15, (1, 1): 2e-15}
-        return [OracleRow(name, v_mode, m, k, gap, 0.0) for (m, k), gap in gaps.items()]
+        measured = np.array([[1e-15, 3e-15], [3e-15, 2e-15]], dtype=complex)
+        return measured, np.zeros_like(measured)
 
     monkeypatch.setattr(harness, "run_oracle_suite", fake_suite)
     lines, overall = verify_report(("hyp-dtp-lie-fe",))
     assert overall == 3e-15
     assert [line.split("= ")[-1] for line in lines] == ["3.000e-15 at (0, 1)"] * 2
+
+
+def test_verify_fails_on_a_nan_closed_form(monkeypatch, capsys):
+    """A NaN on the expected side is the worst mode, inf, and fails verify:
+    y > 1 first holds at m = 5 on the 16-point grid."""
+    closed_form = harness.mode_multiplier
+
+    def nan_above_one(spec, y, nu, z):
+        return np.where(y > 1.0, np.nan, closed_form(spec, y, nu, z))
+
+    monkeypatch.setattr(harness, "mode_multiplier", nan_above_one)
+    lines, overall = verify_report(("hyp-dtp-lie-fe",))
+    assert overall == math.inf
+    assert [line.split("= ")[-1] for line in lines] == ["inf at (5, 0)"] * 2
+    assert cli_main(["verify", "--scheme", "hyp-dtp-lie-fe"]) == 1
+    assert "overall max discrepancy = inf (FAIL" in capsys.readouterr().out
+
+
+def test_verify_fails_on_a_nan_step(monkeypatch, capsys):
+    """A NaN on the measured side fails verify, even when every mode is NaN."""
+    def nan_flux(stencils, coeff, upwind, dx):
+        return lambda y: np.full_like(y, np.nan)
+
+    monkeypatch.setattr(psilab.integrators, "_upwind_flux", nan_flux)
+    assert cli_main(["verify", "--scheme", "hyp-full-fe"]) == 1
+    assert "overall max discrepancy = inf (FAIL" in capsys.readouterr().out
+
+
+def test_parabolic_mode_equivalence_reads_a_nan_as_inf(monkeypatch):
+    stacked = harness.measured_mode_multipliers
+
+    def nan_on_ptd(spec, *args):
+        g = stacked(spec, *args)
+        if spec.approach == "ptd":
+            g[5] = np.nan
+        return g
+
+    monkeypatch.setattr(harness, "measured_mode_multipliers", nan_on_ptd)
+    assert parabolic_mode_equivalence(0.5) == math.inf
 
 
 def test_verify_builds_each_velocity_operator_once(monkeypatch):
