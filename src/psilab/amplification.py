@@ -185,7 +185,7 @@ class BoundaryResult:
     evaluations: int
 
 
-def _sweep_on(surface, ys: np.ndarray, mu: float) -> np.ndarray:
+def _sweep_on(surface, ys: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.asarray(surface(ys, mu), dtype=float)
 
@@ -245,26 +245,54 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
     return BoundaryResult(0.5 * (lo + hi), worst_y, lo, hi, evals)
 
 
+#: Values one lattice tile holds at most. ``contour_grid`` evaluates the
+#: surface tile by tile and the contour writer formats it tile by tile.
+_TILE_VALUES = 2048
+
+
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
     """A surface tabulated on a lattice, ``h[i, j]`` at (``ys[i]``, ``mus[j]``),
     compared and hashed by identity. Its rows (Y, mu, h) run Y-major, all mu
-    values of the first Y, then the next Y; ``len`` is the row count."""
+    values of the first Y, then the next Y; ``len`` is the row count. The
+    axes must be 1-D and non-empty, and ``h`` must have their lengths as its
+    shape (ValueError otherwise)."""
 
     ys: np.ndarray
     mus: np.ndarray
     h: np.ndarray
 
+    def __post_init__(self) -> None:
+        axes = (np.shape(self.ys), np.shape(self.mus))
+        if any(len(shape) != 1 or not shape[0] for shape in axes):
+            raise ValueError(f"a lattice needs non-empty 1-D axes, got shapes {axes}")
+        if np.shape(self.h) != (axes[0][0], axes[1][0]):
+            raise ValueError(f"h has shape {np.shape(self.h)}, the axes need "
+                             f"{(axes[0][0], axes[1][0])}")
+
     def __len__(self) -> int:
         return self.h.size
+
+    def tiles(self):
+        """(rows, cols) slices of ``h`` that cover the lattice in row order, at
+        most _TILE_VALUES values each: whole Y runs, or one Y and a stretch of
+        mu."""
+        y_count, mu_count = self.h.shape
+        y_step, mu_step = max(1, _TILE_VALUES // mu_count), min(mu_count, _TILE_VALUES)
+        for y0 in range(0, y_count, y_step):
+            for m0 in range(0, mu_count, mu_step):
+                yield slice(y0, y0 + y_step), slice(m0, m0 + mu_step)
 
 
 def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> ContourGrid:
     """Tabulate the surface on [0, 2] x [0, mu_max].
 
     Poles appear as inf and are preserved for the text output. ``h`` is the
-    only grid-sized array: each mu column is one sweep over Y, written
-    straight into it (one broadcast over the whole grid rounds otherwise).
+    only grid-sized array: each of the lattice's tiles is one sweep, its Y
+    against its mu, written straight into it. The tile bound keeps the bits
+    of a sweep per mu column: one broadcast over a whole 401 x 401 figure
+    moves 5927 of hyp-ptd-lie-fe's values by an ulp, and tiles of whole Y
+    runs still agree at 16040 values and differ at 16842.
     """
     if y_points < 2 or mu_points < 2:
         raise ValueError("need at least two points per axis")
@@ -272,7 +300,7 @@ def contour_grid(surface, y_points: int, mu_points: int, mu_max: float) -> Conto
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     ys = np.linspace(0.0, 2.0, y_points)
     mus = np.linspace(0.0, mu_max, mu_points)
-    h = np.empty((y_points, mu_points))
-    for j, mu in enumerate(mus):
-        h[:, j] = _sweep_on(surface, ys, float(mu))
-    return ContourGrid(ys, mus, h)
+    grid = ContourGrid(ys, mus, np.empty((y_points, mu_points)))
+    for rows, cols in grid.tiles():
+        grid.h[rows, cols] = _sweep_on(surface, ys[rows, None], mus[None, cols])
+    return grid

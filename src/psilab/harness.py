@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .amplification import (
+    _TILE_VALUES,
     BoundaryResult,
     ContourGrid,
     contour_grid,
@@ -815,9 +816,10 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-#: Rows one ``write_contour_csv`` tile formats at most. A tile holds a few
-#: hundred bytes per row and costs a fixed number of numpy calls.
-_CSV_BLOCK_ROWS = 2048
+#: Rows one ``write_contour_csv`` tile formats at most: a lattice tile. A
+#: tile holds a few hundred bytes per row and costs a fixed number of numpy
+#: calls.
+_CSV_BLOCK_ROWS = _TILE_VALUES
 
 # ``%.17g`` of x with 1e-4 <= x < 1e16 is fixed notation: the 17 digits of
 # N = round-half-even(x * 10**(16 - k)), k the decimal exponent, with the
@@ -939,25 +941,25 @@ def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, ...]:
 def _fixed_rows(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row bytes and layout codes of ``values`` in fixed notation, valid
     where the returned mask is set. Its temporaries are freed on return,
-    before the block's byte mask is built."""
+    before the tile's byte mask is built."""
     fixed = (values >= 1e-4) & (values < 1e16)
     k, d0, *groups = _digit_groups(np.where(fixed, values, 2.0))  # 2.0: any in the window
     g1, g2, g3, g4 = groups
     quad, z = _quad_tables()
     zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
     layout = (k + 4) * 17 + zeros
-    rows = np.empty((len(values), 11), np.uint32)
-    rows[:, 0] = _LEAD[d0]
-    rows[:, 5] = np.where(k < 0, quad[d0], _DOT)
+    words = np.empty((11, len(values)), np.uint32)  # row j: word j of every value
+    words[0] = _LEAD[d0]
+    words[5] = np.where(k < 0, quad[d0], _DOT)
     for j, group in enumerate(groups, 1):
-        rows[:, j] = rows[:, j + 5] = quad[group]
-    rows[:, 10] = _NEWLINE
-    return rows.view(np.uint8), layout, fixed
+        words[j] = words[j + 5] = quad[group]
+    words[10] = _NEWLINE
+    return words.T.copy().view(np.uint8), layout, fixed
 
 
-def _kernel_slots(values: np.ndarray) -> np.ndarray:
-    """44-byte slots holding ``format(v, ".17g")`` of each value and then a
-    newline, every other byte NUL."""
+def _kernel_slots(values: np.ndarray, out: np.ndarray) -> None:
+    """Fill the 44-byte slots ``out`` with ``format(v, ".17g")`` of each value
+    and then a newline, every other byte NUL."""
     chars, layout, fixed = _fixed_rows(values)
     other = np.flatnonzero(~fixed)
     if len(other):
@@ -965,8 +967,7 @@ def _kernel_slots(values: np.ndarray) -> np.ndarray:
         chars[other, :_SEP_BYTE] = np.frombuffer(
             b"".join(t.ljust(_SEP_BYTE, b"\0") for t in texts), np.uint8).reshape(-1, _SEP_BYTE)
         layout[other] = _TEXT_LAYOUT
-    chars *= np.take(_layout_masks(), layout, axis=0)
-    return chars
+    np.multiply(chars, np.take(_layout_masks(), layout, axis=0), out=out)
 
 
 def _text_slots(values: np.ndarray) -> np.ndarray:
@@ -979,23 +980,25 @@ def _text_slots(values: np.ndarray) -> np.ndarray:
 
 
 def write_contour_csv(path: str, grid: ContourGrid) -> None:
-    """Write the (Y, mu, h) rows of ``grid`` in tiles of at most
-    ``_CSV_BLOCK_ROWS`` rows, whole Y runs or one Y and a stretch of mu; the
-    bytes equal per-value ``format(v, ".17g")``. A tile formats its Y, and its
-    mu unless the tile before had the same (a short mu axis: once per file),
-    h by the digit kernel; it gathers the NUL-padded slots and drops the NULs."""
-    ys, mus = grid.ys, grid.mus
-    y_step, mu_step = max(1, _CSV_BLOCK_ROWS // len(mus)), min(len(mus), _CSV_BLOCK_ROWS)
-    mu_slots = lru_cache(maxsize=1)(lambda m0: _text_slots(mus[m0:m0 + mu_step]))
+    """Write the (Y, mu, h) rows of ``grid`` tile by tile (``ContourGrid.tiles``,
+    at most ``_CSV_BLOCK_ROWS`` rows each); the bytes equal per-value
+    ``format(v, ".17g")``. A tile formats its Y, and its mu unless the tile
+    before had the same (a short mu axis: once per file), into NUL-padded
+    slots, and h by the digit kernel. It fills one (Y, mu, row) byte buffer
+    with the three slots and writes it without its NULs."""
+    mu_slots = lru_cache(maxsize=1)(lambda m0, m1: _text_slots(grid.mus[m0:m1]))
     with open(path, "wb") as handle:
         handle.write(b"Y,mu,h\n")
-        for y0 in range(0, len(ys), y_step):
-            for m0 in range(0, len(mus), mu_step):
-                tile = grid.h[y0:y0 + y_step, m0:m0 + mu_step]
-                y_text = np.repeat(_text_slots(ys[y0:y0 + y_step]), tile.shape[1], axis=0)
-                chars = np.concatenate([y_text, np.tile(mu_slots(m0), (tile.shape[0], 1)),
-                                        _kernel_slots(tile.reshape(-1))], axis=1)
-                handle.write(chars[chars != 0])
+        for rows, cols in grid.tiles():
+            tile = grid.h[rows, cols]
+            y_text, mu_text = _text_slots(grid.ys[rows]), mu_slots(cols.start, cols.stop)
+            y_end = y_text.shape[1]
+            mu_end = y_end + mu_text.shape[1]
+            chars = np.empty(tile.shape + (mu_end + _ROW_BYTES,), np.uint8)
+            chars[:, :, :y_end] = y_text[:, None]
+            chars[:, :, y_end:mu_end] = mu_text
+            _kernel_slots(tile.reshape(-1), chars.reshape(tile.size, -1)[:, mu_end:])
+            handle.write(chars[chars != 0])
 
 
 def write_history_csv(path: str, records: list[RunRecord]) -> None:

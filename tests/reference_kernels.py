@@ -17,8 +17,9 @@ stack's swapped axes, with its own periodic pad; ``dense_alpha`` and
 ``implicit_columns`` solves the implicit systems that ``_implicit_solve``
 solves in eigenbases by one dense LU (``solve_dense``) per eigencolumn.
 
-``reference_contour_grid`` is ``contour_grid``'s earlier body: a separate h
-matrix, then Y and mu columns from ``np.repeat`` and ``np.tile``.
+``reference_contour_grid`` is ``contour_grid``'s earlier body: one sweep per
+mu column into a separate h matrix, then Y and mu columns from ``np.repeat``
+and ``np.tile``.
 """
 
 from functools import lru_cache

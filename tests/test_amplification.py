@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from psilab.amplification import (
     Y_GRID,
+    ContourGrid,
     amp_p1_p2_p3,
     contour_grid,
     find_boundary,
@@ -276,7 +277,11 @@ def test_contour_grid_marks_poles_infinite():
 _CONTOUR_CASES = [
     (name, mu_max, y_points, mu_points)
     for _, name, mu_max in FIGURE_GRIDS
-    for y_points, mu_points in [(2, 2), (3, 3), (401, 7), (7, 401)]
+    for y_points, mu_points in [(2, 2), (3, 3), (401, 7), (7, 401),
+                                # whole figures, where one broadcast over the
+                                # lattice moves fig3's bits; a mu axis of two
+                                # tiles; a Y axis of many
+                                (401, 401), (3, 3000), (3000, 2)]
 ] + [("par-dtp-lie-theta1", 1.0, 23, 101)]  # rows through the inf poles
 
 
@@ -293,6 +298,17 @@ def test_contour_grid_bitwise_matches_the_repeat_tile_table(name, mu_max, y_poin
     want = reference_contour_grid(surface, y_points, mu_points, mu_max)
     assert got.shape == want.shape == (y_points * mu_points, 3) == (len(grid), 3)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ys,mus,h", [
+    pytest.param([0.0, 1.0], [0.0, 1.0], np.ones((2, 3)), id="wide-h"),
+    pytest.param([0.0, 1.0], [0.0, 1.0], np.ones((3, 2)), id="tall-h"),
+    pytest.param([], [], np.ones((0, 0)), id="empty-axes"),
+    pytest.param([[0.0, 1.0]], [0.0, 1.0], np.ones((1, 2)), id="2-d-ys"),
+])
+def test_contour_grid_rejects_a_bad_lattice(ys, mus, h):
+    with pytest.raises(ValueError, match="lattice needs|the axes need"):
+        ContourGrid(np.array(ys, dtype=float), np.array(mus, dtype=float), h)
 
 
 def test_contour_grid_compares_and_hashes_by_identity():

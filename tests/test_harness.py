@@ -675,11 +675,20 @@ def _traced_peak(call, *args):
 
 @pytest.mark.parametrize("y_points,mu_points", [(401, 401), (157, 401), (401, 157)])
 def test_contour_grid_allocates_only_its_table(y_points, mu_points):
-    # h is built in place, one mu column sweep at a time: no second
-    # grid-sized array (a table of rows, repeated Y, tiled mu) exists beside it.
+    # h is built in place, one lattice tile at a time: no second grid-sized
+    # array (a table of rows, repeated Y, tiled mu) exists beside it.
     surface = parse_scheme_name("hyp-ptd-strang-rk2").surface
     nbytes = 8 * y_points * mu_points
     assert _traced_peak(contour_grid, surface, y_points, mu_points, 2.5) <= nbytes + 256 * 1024
+
+
+@pytest.mark.parametrize("y_points,mu_points", [(100_000, 2), (2, 100_000)])
+def test_contour_grid_sweeps_long_axes_in_tiles(y_points, mu_points):
+    # Beside h (1.6 MB) and its axes, a sweep holds one tile's temporaries;
+    # a sweep per mu column over 100000 Y values peaked at 12.8 MB.
+    surface = parse_scheme_name("hyp-ptd-strang-rk2").surface
+    nbytes = 8 * y_points * mu_points
+    assert _traced_peak(contour_grid, surface, y_points, mu_points, 2.5) < nbytes + 1_500_000
 
 
 def test_figure_grids_hold_one_table_at_a_time(tmp_path):
