@@ -60,7 +60,6 @@ from .linalg import (
     frobenius_norm,
     matrix_abs,
     qr_thin,
-    solve_dense,
     sym_eig,
 )
 

@@ -190,18 +190,16 @@ def _sweep_on(surface, ys: np.ndarray, mu: float | np.ndarray) -> np.ndarray:
         return np.asarray(surface(ys, mu), dtype=float)
 
 
-def _sweep(surface, mu: float) -> np.ndarray:
-    h = _sweep_on(surface, Y_GRID, mu)
-    return np.where(np.isnan(h), np.inf, h)
-
-
 def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
     """Largest mu at which the surface stays at or below one on Y_GRID.
 
     The cap is probed first: a scheme stable there is reported
     unconditional. Otherwise bisection on [0, cap] narrows the boundary to
-    ``tol``; the worst Y is read off the unstable bracket edge. A cap and
-    tolerance that 60 halvings cannot bring together raise ValueError.
+    ``tol``. Each probe is one sweep of Y_GRID, NaN read as inf, and
+    ``evaluations`` counts them. The worst Y is read off the sweep kept from
+    the unstable edge: the cap on an unconditional row, else the bracket's
+    ``hi``. A cap and tolerance that 60 halvings cannot bring together raise
+    ValueError.
 
     "At or below one" means within _STABLE_SLACK, which admits the slight
     growth of the hyperbolic Lie surfaces just above mu* = 1/3 near Y ~ 1e-6.
@@ -215,14 +213,15 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     evals = 0
 
-    def stable(mu: float) -> bool:
+    def sweep(mu: float) -> tuple[bool, np.ndarray]:
         nonlocal evals
         evals += 1
-        h = _sweep(surface, mu)
-        return bool(np.all(h <= 1.0 + _STABLE_SLACK))
+        h = _sweep_on(surface, Y_GRID, mu)
+        h = np.where(np.isnan(h), np.inf, h)
+        return bool(np.all(h <= 1.0 + _STABLE_SLACK)), h
 
-    if stable(mu_cap):
-        worst = _sweep(surface, mu_cap)
+    stable, worst = sweep(mu_cap)
+    if stable:
         worst_y = float(Y_GRID[int(np.argmax(worst))])
         return BoundaryResult("unconditional", worst_y, mu_cap, mu_cap, evals)
 
@@ -231,16 +230,16 @@ def find_boundary(surface, mu_cap: float, tol: float) -> BoundaryResult:
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if stable(mid):
+        stable, h = sweep(mid)
+        if stable:
             lo = mid
         else:
-            hi = mid
+            hi, worst = mid, h
     if hi - lo > tol:
         raise ValueError(
             f"bisection bracket [{lo:g}, {hi:g}] is still wider than tol = {tol:g} "
             f"after {_MAX_HALVINGS} halvings of mu_cap = {mu_cap:g}"
         )
-    worst = _sweep(surface, hi)
     worst_y = float(Y_GRID[int(np.argmax(worst))])
     return BoundaryResult(0.5 * (lo + hi), worst_y, lo, hi, evals)
 

@@ -43,7 +43,6 @@ class VDiscretization:
     eigendecomposition with eigenvalues descending.
     """
 
-    kind: str
     coeff: np.ndarray
     coeff_abs: np.ndarray
     spectrum: SpectralDecomposition
@@ -83,11 +82,16 @@ class XGrid:
     matrix or of each matrix in a stack, the entries of a vector;
     ``stencils`` gives both from one padded copy. Both are circulant: FFT
     mode m is an eigenvector, ``alpha`` multiplies it by 2i ``z``[m] and
-    ``beta`` by -``two_y``[m].
+    ``beta`` by -``two_y``[m]. The grid covers [0, 2 pi) with n_x points, so
+    its point count is all it holds; the spacing ``dx`` follows from it.
     """
 
     n_x: int
-    dx: float
+
+    @cached_property
+    def dx(self) -> float:
+        """Spacing 2 pi / n_x."""
+        return 2.0 * np.pi / self.n_x
 
     def alpha(self, u: np.ndarray) -> np.ndarray:
         if u.ndim < 3:
@@ -213,9 +217,7 @@ def build_nodal(coeff_fn: Callable[[np.ndarray], np.ndarray], v_points) -> VDisc
     require_finite("nodal coefficient values", values)
     coeff = np.diag(values)
     coeff_abs = np.diag(np.abs(values))
-    return VDiscretization(
-        kind="nodal", coeff=coeff, coeff_abs=coeff_abs, spectrum=sym_eig(coeff)
-    )
+    return VDiscretization(coeff=coeff, coeff_abs=coeff_abs, spectrum=sym_eig(coeff))
 
 
 def build_modal(
@@ -237,18 +239,14 @@ def build_modal(
     require_finite("modal coefficient values", avals)
     coeff = phi.T @ (phi * (weights * avals)[:, np.newaxis])
     coeff = 0.5 * (coeff + coeff.T)
-    return VDiscretization(
-        kind="modal", coeff=coeff, coeff_abs=matrix_abs(coeff), spectrum=sym_eig(coeff)
-    )
+    return VDiscretization(coeff=coeff, coeff_abs=matrix_abs(coeff), spectrum=sym_eig(coeff))
 
 
-def build_xgrid(n_x: int, dx: float) -> XGrid:
-    """Periodic grid of n_x points with spacing dx."""
+def build_xgrid(n_x: int) -> XGrid:
+    """Periodic grid of n_x points on [0, 2 pi), spacing 2 pi / n_x."""
     if n_x < 3:
         raise ValueError("need at least 3 spatial points for periodic stencils")
-    if not dx > 0:
-        raise ValueError("dx must be positive")
-    return XGrid(n_x=n_x, dx=float(dx))
+    return XGrid(n_x=n_x)
 
 
 def fourier_mode(m: int, n_x: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .amplification import (
-    _TILE_VALUES,
     BoundaryResult,
     ContourGrid,
     contour_grid,
@@ -404,11 +403,11 @@ def build_vdisc(coefficient: str, v_mode: str, n_v: int) -> VDiscretization:
 
 
 def derive_dt(
-    equation: str, cfl: float, n_x: int, vdisc: VDiscretization, strict: bool = True
+    equation: str, cfl: float, grid: XGrid, vdisc: VDiscretization, strict: bool = True
 ) -> float:
     """Time step from the CFL-like number: dt = cfl*dx/lam (hyperbolic) or
-    cfl*dx^2/lam (parabolic) with dx = 2*pi/N_x."""
-    dx = 2.0 * np.pi / n_x
+    cfl*dx^2/lam (parabolic) with the grid's dx = 2*pi/N_x."""
+    dx = grid.dx
     lam = vdisc.lambda_max(equation, strict=strict)
     if lam == 0.0:
         raise ValueError("coefficient has zero spectral radius; dt is undefined")
@@ -419,8 +418,8 @@ def derive_dt(
 
 def build_problem(cfg: ExperimentConfig) -> tuple[VDiscretization, XGrid, float]:
     vdisc = build_vdisc(cfg.coefficient, cfg.v_mode, cfg.n_v)
-    grid = build_xgrid(cfg.n_x, 2.0 * np.pi / cfg.n_x)
-    dt = derive_dt(cfg.scheme.equation, cfg.cfl, cfg.n_x, vdisc)
+    grid = build_xgrid(cfg.n_x)
+    dt = derive_dt(cfg.scheme.equation, cfg.cfl, grid, vdisc)
     return vdisc, grid, dt
 
 
@@ -510,10 +509,10 @@ def run_oracle_suite(
     info = parse_scheme_name(scheme_name)
     spec = info.spec
     vdisc = build_vdisc(coefficient, v_mode, n_v)
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     if cfl is None:
         cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
-    dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
+    dt = derive_dt(spec.equation, cfl, grid, vdisc, strict=False)
     ms, ks = np.divmod(np.arange(n_x * n_v), n_v)  # every (m, k) in (m, k) order
     measured = measured_mode_multipliers(spec, ms, ks, vdisc, grid, dt)
     expected = _multiplier_lattice(spec, vdisc, grid, dt)
@@ -816,11 +815,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-#: Rows one ``write_contour_csv`` tile formats at most: a lattice tile. A
-#: tile holds a few hundred bytes per row and costs a fixed number of numpy
-#: calls.
-_CSV_BLOCK_ROWS = _TILE_VALUES
-
 # ``%.17g`` of x with 1e-4 <= x < 1e16 is fixed notation: the 17 digits of
 # N = round-half-even(x * 10**(16 - k)), k the decimal exponent, with the
 # point after digit k (k >= 0) or behind "0." and -k - 1 zeros (k < 0), then
@@ -981,7 +975,7 @@ def _text_slots(values: np.ndarray) -> np.ndarray:
 
 def write_contour_csv(path: str, grid: ContourGrid) -> None:
     """Write the (Y, mu, h) rows of ``grid`` tile by tile (``ContourGrid.tiles``,
-    at most ``_CSV_BLOCK_ROWS`` rows each); the bytes equal per-value
+    at most ``_TILE_VALUES`` rows each); the bytes equal per-value
     ``format(v, ".17g")``. A tile formats its Y, and its mu unless the tile
     before had the same (a short mu axis: once per file), into NUL-padded
     slots, and h by the digit kernel. It fills one (Y, mu, row) byte buffer

@@ -249,6 +249,30 @@ def test_boundary_largest_reachable_bracket_still_converges():
     assert res.critical_mu == pytest.approx(1.0 / 3.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("name,mu_cap,tol", [
+    ("hyp-dtp-lie-fe", 4.0, 1e-5),  # bisected
+    ("par-hybrid", 1e6, 1e-7),  # unconditional
+])
+def test_boundary_sweeps_the_surface_once_per_evaluation(name, mu_cap, tol):
+    """find_boundary calls the surface exactly ``evaluations`` times, and its
+    worst Y is the argmax of a fresh NaN-as-inf sweep at the unstable edge
+    (``hi``, the cap on an unconditional row), bit for bit."""
+    surface = parse_scheme_name(name).surface
+    calls = []
+
+    def counted(ys, mu):
+        calls.append(mu)
+        return surface(ys, mu)
+
+    res = find_boundary(counted, mu_cap, tol)
+    assert len(calls) == res.evaluations
+    h = np.asarray(surface(Y_GRID, res.hi), dtype=float)
+    h[np.isnan(h)] = np.inf
+    want = Y_GRID[int(np.argmax(h))]
+    assert np.float64(res.worst_y).tobytes() == want.tobytes()
+    assert (res.critical_mu == "unconditional") == (res.hi == mu_cap)
+
+
 def test_contour_grid_shape_and_corner():
     info = parse_scheme_name("hyp-dtp-lie-fe")
     grid = contour_grid(info.surface, 3, 3, 1.0)

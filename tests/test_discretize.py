@@ -67,7 +67,7 @@ def test_modal_square_diagonal_entries():
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
 def test_stencils_are_circulant_and_antisymmetric(n_x):
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     ma, mb = dense_alpha(grid), dense_beta(grid)
     assert ma.shape == (n_x, n_x) and mb.shape == (n_x, n_x)
     np.testing.assert_allclose(ma, -ma.T, atol=0)
@@ -78,7 +78,7 @@ def test_stencils_are_circulant_and_antisymmetric(n_x):
 
 
 def test_stencil_rows_small_grid():
-    grid = build_xgrid(8, 2.0 * np.pi / 8)
+    grid = build_xgrid(8)
     row_a = np.zeros(8)
     row_a[1], row_a[-1] = 1.0, -1.0  # forward neighbor minus backward neighbor
     np.testing.assert_allclose(dense_alpha(grid)[0], row_a, atol=0)
@@ -89,7 +89,7 @@ def test_stencil_rows_small_grid():
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
 def test_fourier_modes_are_stencil_eigenvectors(n_x):
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     for m in range(n_x):
         mode = fourier_mode(m, n_x)
         alpha, beta = 2j * grid.z[m], -grid.two_y[m]
@@ -101,7 +101,7 @@ def test_fourier_modes_are_stencil_eigenvectors(n_x):
 @pytest.mark.parametrize("cols", [1, 16])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_shift_stencils_match_dense_matrices(n_x, cols, kind):
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     rng = np.random.default_rng(100 * n_x + cols)
     u = rng.standard_normal((n_x, cols))
     if kind == "complex":
@@ -114,7 +114,7 @@ def test_shift_stencils_match_dense_matrices(n_x, cols, kind):
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 3), (2, 3, 5, 4)])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_shared_pad_stencils_bitwise_match_each_stencil(shape, kind):
-    grid = build_xgrid(5, 0.1)
+    grid = build_xgrid(5)
     rng = np.random.default_rng(len(shape))
     u = rng.standard_normal(shape)
     if kind == "complex":
@@ -141,7 +141,7 @@ def test_wrap_pad_copies_like_concatenation(shape):
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
 def test_two_y_is_the_second_difference_symbol(n_x):
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     for m in range(n_x):
         mode = fourier_mode(m, n_x)
         assert grid.two_y[m] == 2.0 * grid.y[m]
@@ -152,7 +152,7 @@ def test_two_y_is_the_second_difference_symbol(n_x):
 @given(st.integers(3, 256).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 255))))
 def test_mode_coordinate_identities(pair):
     n_x, m = pair
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     y, z = grid.y[m % n_x], grid.z[m % n_x]
     assert 0.0 <= y <= 2.0
     assert z**2 == pytest.approx(y * (2.0 - y), abs=1e-12)
@@ -161,7 +161,7 @@ def test_mode_coordinate_identities(pair):
 
 
 def test_mode_y_covers_zero_to_two():
-    ys = build_xgrid(16, 2.0 * np.pi / 16).y
+    ys = build_xgrid(16).y
     assert min(ys) == 0.0
     assert max(ys) == pytest.approx(2.0)
 
@@ -212,7 +212,7 @@ def _stencil_inputs():
 def test_stencils_bitwise_match_the_reference_body(label, u):
     """alpha, beta and the shared-pad pair give the reference body's bytes,
     dtype and memory layout, for plain matrices and for stacks alike."""
-    grid = build_xgrid(u.shape[-2] if u.ndim > 1 else u.shape[0], 0.1)
+    grid = build_xgrid(u.shape[-2] if u.ndim > 1 else u.shape[0])
     want_a, want_b = reference_stencils(u)
     fa, fb = grid.stencils(u)
     for got, want in ((fa, want_a), (fb, want_b), (grid.alpha(u), want_a), (grid.beta(u), want_b)):

@@ -46,9 +46,9 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import ContourGrid, contour_grid
+from psilab.amplification import _TILE_VALUES, ContourGrid, contour_grid
 from psilab.discretize import build_xgrid
-from psilab.harness import _CSV_BLOCK_ROWS, _worst_mode
+from psilab.harness import _worst_mode
 
 _MINIMAL = """
 equation = hyperbolic
@@ -305,8 +305,8 @@ def _worst_mode_by_policy(spec, vdisc, grid, dt):
 def _assert_scan_follows_policy(name, n_x, coefficient, n_v, cfl):
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc(coefficient, "nodal", n_v)
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
-    dt = derive_dt(spec.equation, cfl, n_x, vdisc, strict=False)
+    grid = build_xgrid(n_x)
+    dt = derive_dt(spec.equation, cfl, grid, vdisc, strict=False)
     assert _worst_mode(spec, vdisc, grid, dt) == _worst_mode_by_policy(
         spec, vdisc, grid, dt
     )
@@ -373,7 +373,7 @@ def test_expected_mode_multiplier_rejects_indices_outside_the_lattice():
     wrap to mode N_x + m."""
     spec = parse_scheme_name("hyp-dtp-lie-fe").spec
     vdisc = build_vdisc("linear", "nodal", 4)
-    grid = build_xgrid(16, 2.0 * np.pi / 16)
+    grid = build_xgrid(16)
     for m in (-1, 16):
         with pytest.raises(ValueError, match=rf"m={m} outside \[0, 16\)"):
             expected_mode_multiplier(spec, m, 0, vdisc, grid, 0.1)
@@ -387,8 +387,8 @@ def test_parabolic_mode_equivalence_is_the_measured_gap_bitwise(theta):
     """The equivalence gap read off two oracle suites is max |g_dtp - g_ptd|
     of the stacked probes over every (m, k), bit for bit."""
     vdisc = build_vdisc("linear", "nodal", 4)
-    grid = build_xgrid(16, 2.0 * np.pi / 16)
-    dt = derive_dt("parabolic", 0.2, 16, vdisc, strict=False)
+    grid = build_xgrid(16)
+    dt = derive_dt("parabolic", 0.2, grid, vdisc, strict=False)
     ms, ks = np.divmod(np.arange(64), 4)
     g_dtp, g_ptd = (
         measured_mode_multipliers(parse_scheme_name(f"par-{approach}-lie-theta{theta}").spec,
@@ -400,11 +400,11 @@ def test_parabolic_mode_equivalence_is_the_measured_gap_bitwise(theta):
 
 
 def test_derive_dt_formulas():
-    vdisc = build_vdisc("linear", "nodal", 4)
+    vdisc, grid = build_vdisc("linear", "nodal", 4), build_xgrid(16)
     lam = float(np.abs(vdisc.spectrum.eigenvalues).max())
     dx = 2.0 * np.pi / 16
-    assert derive_dt("hyperbolic", 0.4, 16, vdisc) == pytest.approx(0.4 * dx / lam)
-    assert derive_dt("parabolic", 0.4, 16, build_vdisc("square", "nodal", 4)) == (
+    assert derive_dt("hyperbolic", 0.4, grid, vdisc) == pytest.approx(0.4 * dx / lam)
+    assert derive_dt("parabolic", 0.4, grid, build_vdisc("square", "nodal", 4)) == (
         pytest.approx(0.4 * dx * dx / lam**2)
     )
 
@@ -424,9 +424,9 @@ def test_oracle_rows_expect_the_scalar_closed_form_bitwise(name, v_mode):
     lattice holds the stacked probes' multipliers in the same (m, k) layout."""
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc("linear", v_mode, 4)
-    grid = build_xgrid(16, 2.0 * np.pi / 16)
+    grid = build_xgrid(16)
     cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
-    dt = derive_dt(spec.equation, cfl, 16, vdisc, strict=False)
+    dt = derive_dt(spec.equation, cfl, grid, vdisc, strict=False)
     measured, expected = run_oracle_suite(name, v_mode=v_mode)
     assert measured.shape == expected.shape == (16, 4)
     assert measured.dtype == expected.dtype == np.complex128
@@ -576,7 +576,7 @@ def test_contour_csv_long_runs_match_per_value_formatting(tmp_path):
     # Y runs cut into several tiles, the second at -0.0, the third with
     # specials in h.
     rng = np.random.default_rng(0)
-    h = rng.random((3, 2 * _CSV_BLOCK_ROWS + 5))
+    h = rng.random((3, 2 * _TILE_VALUES + 5))
     h[2, :3] = (math.nan, math.inf, 0.0)
     grid = _grid([0.5, -0.0, 1.0], rng.random(h.shape[1]), h)
     write_contour_csv(str(tmp_path / "block.csv"), grid)
@@ -648,7 +648,7 @@ def test_figure_csv_matches_per_value_formatting(tmp_path, filename, scheme_name
 ])
 def test_contour_csv_writes_without_holding_the_file(tmp_path, shape):
     # A 401 x 401 figure file is about 8 MB of text; the writer holds one
-    # tile of at most _CSV_BLOCK_ROWS rows of it at a time, and of a long
+    # tile of at most _TILE_VALUES rows of it at a time, and of a long
     # axis only the tile's stretch of it.
     if shape == "figure":
         _, scheme_name, mu_max = FIGURE_GRIDS[0]

@@ -47,7 +47,7 @@ from reference_kernels import (
 )
 
 _NX, _NV = 16, 4
-_GRID = build_xgrid(_NX, 2.0 * np.pi / _NX)
+_GRID = build_xgrid(_NX)
 
 
 def _vdisc_for(name):
@@ -143,7 +143,7 @@ def test_complex_mode_state_is_unit_rank_one():
 def test_mode_probes_are_bitwise_the_fourier_probes(n_x):
     """Each stacked probe, and a stack of one, is x_m = fourier_mode(m) /
     sqrt(N_x) against v_k with S = sqrt(N_x), bit for bit."""
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     vdisc = build_vdisc("linear", "modal", 3)
     ms, ks = np.divmod(np.arange(n_x * 3), 3)
     probes = complex_mode_probes(ms, ks, vdisc, grid)
@@ -191,7 +191,7 @@ def test_stacked_probes_step_like_single_probes(name, v_mode):
     spec = parse_scheme_name(name).spec
     vdisc = build_vdisc("linear", v_mode, _NV)
     cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
-    dt = derive_dt(spec.equation, cfl, _NX, vdisc, strict=False)
+    dt = derive_dt(spec.equation, cfl, _GRID, vdisc, strict=False)
     full = spec.approach == "full_tensor"
     ms, ks = np.divmod(np.arange(_NX * _NV), _NV)
     probes = complex_mode_probes(ms, ks, vdisc, _GRID)
@@ -261,7 +261,7 @@ def test_carried_basis_steps_bitwise_like_a_fresh_state(name, stacked):
     spec = parse_scheme_name(name).spec
     vdisc = _vdisc_for(name)
     cfl = 0.3 if spec.equation == "hyperbolic" else 0.2
-    dt = derive_dt(spec.equation, cfl, _NX, vdisc, strict=False)
+    dt = derive_dt(spec.equation, cfl, _GRID, vdisc, strict=False)
     if stacked:
         state = LowRankState(**_state_stack())
     else:
@@ -607,7 +607,7 @@ def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
     the solve against the projected stencil X^H beta X, diagonalized by
     eigh, for a random orthonormal X (complex X makes it complex Hermitian);
     its eigenvalues lie in beta's range [-4, 0], so the same bound holds."""
-    grid = build_xgrid(n_x, 2.0 * np.pi / n_x)
+    grid = build_xgrid(n_x)
     scale = sign * 0.35
     dec = _coefficient_with_spectrum(sign * np.array([2.0, 0.7, 0.1, -0.3, -0.55]), n_x)
     rng = np.random.default_rng(n_x)
@@ -636,7 +636,7 @@ def test_fourier_implicit_solve_matches_dense_lu(n_x, sign, kind):
 
 def test_fourier_implicit_solve_reports_a_zero_symbol():
     # scale * lam * 2Y_2 = 1 * (-0.5) * 2 on N_x = 8: mode 2's symbol vanishes
-    grid = build_xgrid(8, 2.0 * np.pi / 8)
+    grid = build_xgrid(8)
     dec = sym_eig(np.diag([1.0, -0.5]))
     rhs = np.ones((8, 2))
     with pytest.raises(SingularMatrixError) as err:
@@ -694,7 +694,7 @@ def _random(rng, shape, kind):
     return a + 1j * rng.standard_normal(shape) if kind == "complex" else a
 
 
-_FIELD_GRIDS = {n_x: build_xgrid(n_x, 2.0 * np.pi / n_x) for n_x in (3, 4, 64, 1024)}
+_FIELD_GRIDS = {n_x: build_xgrid(n_x) for n_x in (3, 4, 64, 1024)}
 _FIELDS = {"hyperbolic": _hyperbolic_field, "parabolic": _parabolic_field}
 
 
@@ -736,7 +736,7 @@ def test_dtp_advection_stencils_never_see_a_velocity_slice(monkeypatch, lead):
     """A hyperbolic dtp step applies the x-stencils only to N_x x r arrays,
     never to an N_x x N_v slice."""
     n_x, n_v, r = 64, 16, 4
-    grid, vdisc = build_xgrid(n_x, 2.0 * np.pi / n_x), build_vdisc("linear", "nodal", n_v)
+    grid, vdisc = build_xgrid(n_x), build_vdisc("linear", "nodal", n_v)
     rng = np.random.default_rng(8)
     state = LowRankState(X=_random_frame(rng, (*lead, n_x, r), "real"),
                          S=rng.standard_normal((*lead, r, r)),
@@ -751,7 +751,7 @@ def test_dtp_advection_stencils_never_see_a_velocity_slice(monkeypatch, lead):
 
     for stencil in ("alpha", "beta", "stencils"):
         monkeypatch.setattr(XGrid, stencil, recording(getattr(XGrid, stencil)))
-    dt = derive_dt("hyperbolic", 0.3, n_x, vdisc)
+    dt = derive_dt("hyperbolic", 0.3, grid, vdisc)
     for name in ("hyp-dtp-lie-fe", "hyp-dtp-strang-rk2"):
         step(parse_scheme_name(name).spec, state, vdisc, grid, dt)
     assert shapes and all(shape[-1] == r for shape in shapes), set(shapes)
@@ -762,7 +762,7 @@ def test_dtp_advection_steps_a_general_complex_state(monkeypatch, name):
     """A complex state whose V^H A V is genuinely complex steps, and the step
     equals the slice-form step."""
     n_x, n_v, r = 32, 8, 3
-    grid, vdisc = build_xgrid(n_x, 2.0 * np.pi / n_x), build_vdisc("linear", "modal", n_v)
+    grid, vdisc = build_xgrid(n_x), build_vdisc("linear", "modal", n_v)
     rng = np.random.default_rng(21)
     state = LowRankState(X=_random_frame(rng, (n_x, r), "complex"),
                          S=_random(rng, (r, r), "complex"),
@@ -770,7 +770,7 @@ def test_dtp_advection_steps_a_general_complex_state(monkeypatch, name):
     projected = state.V.conj().T @ vdisc.coeff @ state.V
     assert frobenius_norm(projected.imag) > 0.1 * frobenius_norm(projected.real)
     spec = parse_scheme_name(name).spec
-    dt = derive_dt("hyperbolic", 0.3, n_x, vdisc)
+    dt = derive_dt("hyperbolic", 0.3, grid, vdisc)
     got = reconstruct(step(spec, state, vdisc, grid, dt).state_after)
 
     def slice_field(approach, factor, xb, vb):
