@@ -6,8 +6,9 @@ run), ``sweep`` (worst-mode runs across a range of cfl values), ``verify``
 (stepper vs closed-form oracle report), ``figures`` (the four published
 surface grids).
 
-Exit codes: 0 success, 1 oracle bound exceeded, 2 bad arguments,
-configuration or file, 3 a run failed numerically.
+Exit codes: 0 success, 1 oracle bound exceeded (``verify``) or a
+documented threshold missed (``boundary``, after writing its CSV), 2 bad
+arguments, configuration or file, 3 a run failed numerically.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def _cmd_boundary(args) -> int:
             status = f"expected {expect_text}: {'PASS' if row.passed else 'FAIL'}"
         print(f"{row.scheme:<22s} critical_mu = {crit_text:<14s} {status}")
     print(f"wrote {args.out}")
-    return 0
+    # a row with no documented threshold (passed is None) cannot fail
+    return 1 if any(row.passed is False for row in rows) else 0
 
 
 def _cmd_simulate(args) -> int:

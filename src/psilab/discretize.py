@@ -94,22 +94,15 @@ class XGrid:
         return 2.0 * np.pi / self.n_x
 
     def alpha(self, u: np.ndarray) -> np.ndarray:
-        if u.ndim < 3:
-            return _first_difference(_wrap_pad(u))
-        return _first_difference(_wrap_pad(u.swapaxes(0, -2))).swapaxes(0, -2)
+        return _first_difference(_wrap_pad(u))
 
     def beta(self, u: np.ndarray) -> np.ndarray:
-        if u.ndim < 3:
-            return _second_difference(_wrap_pad(u))
-        return _second_difference(_wrap_pad(u.swapaxes(0, -2))).swapaxes(0, -2)
+        return _second_difference(_wrap_pad(u))
 
     def stencils(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(``alpha``(u), ``beta``(u)) from one periodic pad."""
-        if u.ndim < 3:
-            p = _wrap_pad(u)
-            return _first_difference(p), _second_difference(p)
-        p = _wrap_pad(u.swapaxes(0, -2))
-        return _first_difference(p).swapaxes(0, -2), _second_difference(p).swapaxes(0, -2)
+        p = _wrap_pad(u)
+        return _first_difference(p), _second_difference(p)
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -136,37 +129,41 @@ class XGrid:
 
 
 def _wrap_pad(u: np.ndarray) -> np.ndarray:
-    """u with one periodic ghost row on each end of axis 0; the stencils
-    move a stack's grid axis (-2) to the front first, and back after.
+    """u with one periodic ghost row on each end of its grid axis: axis 0 of
+    a vector or matrix, -2 of a stack.
 
     Shifted slices of the padded copy apply a stencil at every row at once;
     at small n_x this beats both np.roll and writing the wraparound rows
-    separately, and at large n_x it matches them. A matrix or vector is
-    copied by one gather of its rows, cheaper than concatenation at the
-    N_x x r sizes of a march. A stack's moved view is concatenated, which
-    keeps its stack-major layout, and with it the rounding of the BLAS
-    products that follow.
+    separately, and at large n_x it matches them. One gather of the rows
+    copies the array, cheaper than concatenation at the N_x x r sizes of a
+    march, into C order: the layout whose rounding the BLAS products that
+    follow, and the oracle's pinned discrepancies, depend on.
     """
-    if u.ndim < 3:
-        return u.take(_wrap_rows(u.shape[0]), axis=0)
-    return np.concatenate((u[-1:], u, u[:1]))
+    axis = 0 if u.ndim < 3 else -2
+    return u.take(_wrap_rows(u.shape[axis]), axis=axis)
 
 
 @lru_cache(maxsize=None)
 def _wrap_rows(n: int) -> np.ndarray:
     """Row indices n - 1, 0, 1, ..., n - 1, 0 (read-only: shared)."""
-    rows = np.concatenate(([n - 1], np.arange(n), [0]))
+    rows = np.arange(-1, n + 1) % n
     rows.flags.writeable = False
     return rows
 
 
 def _first_difference(p: np.ndarray) -> np.ndarray:
-    return p[2:] - p[:-2]
+    if p.ndim < 3:
+        return p[2:] - p[:-2]
+    return p[..., 2:, :] - p[..., :-2, :]
 
 
 def _second_difference(p: np.ndarray) -> np.ndarray:
-    out = p[2:] + p[:-2]
-    out -= 2.0 * p[1:-1]
+    if p.ndim < 3:
+        up, down, mid = p[2:], p[:-2], p[1:-1]
+    else:
+        up, down, mid = p[..., 2:, :], p[..., :-2, :], p[..., 1:-1, :]
+    out = up + down
+    out -= 2.0 * mid
     return out
 
 

@@ -2,8 +2,8 @@
 
 Plain numpy arrays (float64 or complex128) are the only data format, and
 numpy is the only runtime dependency: the thin QR calls LAPACK ``geqrf``
-with ``orgqr``/``ungqr`` through numpy itself (a plain matrix through
-``numpy.linalg.lapack_lite``, a stack through the batched
+with ``orgqr``/``ungqr`` through numpy itself (a plain float64 matrix
+through ``numpy.linalg.lapack_lite``, anything else through
 ``np.linalg.qr``), and only the test reference ``solve_dense`` imports
 scipy. Every kernel wraps LAPACK with the conventions the steppers
 need. The thin QR adds two properties a bare factorization lacks: a
@@ -47,12 +47,6 @@ RANK_TOL = 1e-14
 
 # Pivot magnitude, relative to its own reference, that counts as singular.
 _PIVOT_TOL = 1e-13
-
-# LAPACK Householder QR (factor, then form the thin Q) for each input dtype.
-_QR_ROUTINES = {
-    np.dtype(np.float64): (lapack_lite.dgeqrf, lapack_lite.dorgqr),
-    np.dtype(np.complex128): (lapack_lite.zgeqrf, lapack_lite.zungqr),
-}
 
 
 class SingularMatrixError(ValueError):
@@ -100,9 +94,9 @@ def frobenius_norm(mat) -> float | np.ndarray:
     """Frobenius norm of a matrix (2-norm of a vector); for a stack of
     matrices, the array of per-matrix norms over its leading axes.
 
-    A float64 or complex128 matrix takes ``np.linalg.norm``'s own sum, the
-    dot of the entries in memory order, without its per-call dispatch; the
-    result is bitwise the same.
+    A float64 matrix takes ``np.linalg.norm``'s own sum, the dot of the
+    entries in memory order, without its per-call dispatch; the result is
+    bitwise the same.
     """
     a = np.asarray(mat)
     if a.ndim > 2:
@@ -110,10 +104,6 @@ def frobenius_norm(mat) -> float | np.ndarray:
     if a.dtype == np.float64:
         x = a.ravel(order="K")
         return math.sqrt(x.dot(x))
-    if a.dtype == np.complex128:
-        x = a.ravel(order="K")
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
     return float(np.linalg.norm(a))
 
 
@@ -121,33 +111,32 @@ def _as_matrix(mat, name: str) -> np.ndarray:
     a = np.asarray(mat)
     if a.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
-    if a.dtype in _QR_ROUTINES:
+    if a.dtype == np.float64 or a.dtype == np.complex128:
         return a
     return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
 
 
 def _lapack_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK Householder QR of a matrix, or of each matrix of a stack: the
-    thin Q and R, each column-major per matrix. A plain matrix's R keeps
-    reflector data below its diagonal; a stack's holds zeros there."""
-    if a.ndim > 2:
-        # numpy's batched QR runs the same geqrf and orgqr/ungqr over the
-        # whole stack in one call. Its C-order factors are copied into the
-        # plain path's layout, in which every later product rounds as it
-        # does on a plain matrix.
+    thin Q and R, each column-major per matrix. A plain float64 matrix's R
+    keeps reflector data below its diagonal; any other R holds zeros there."""
+    if a.ndim > 2 or a.dtype != np.float64:
+        # numpy's QR runs the same geqrf and orgqr/ungqr, over a whole stack
+        # in one call. Its C-order factors are copied into the lapack_lite
+        # path's layout, in which every later product rounds as it does on
+        # a plain matrix.
         q, rfac = np.linalg.qr(a)
         return q.mT.copy().mT, rfac.mT.copy().mT
-    geqrf, orgqr = _QR_ROUTINES[a.dtype]
     m, n = a.shape
     # A C-order copy of A^T is A in LAPACK's column-major order.
     buf = a.T.copy()
-    tau = np.empty(n, a.dtype)
+    tau = np.empty(n)
     lwork = max(1, 64 * n)
-    work = np.empty(lwork, a.dtype)
-    if geqrf(m, n, buf, m, tau, work, lwork, 0)["info"]:
+    work = np.empty(lwork)
+    if lapack_lite.dgeqrf(m, n, buf, m, tau, work, lwork, 0)["info"]:
         raise np.linalg.LinAlgError("geqrf failed")
     packed = buf[:, :n].T.copy(order="K")  # column-major; orgqr overwrites buf
-    if orgqr(m, n, n, buf, m, tau, work, lwork, 0)["info"]:
+    if lapack_lite.dorgqr(m, n, n, buf, m, tau, work, lwork, 0)["info"]:
         raise np.linalg.LinAlgError("orgqr failed")
     return buf.T, packed
 
@@ -205,12 +194,13 @@ def qr_thin_counted(mat) -> tuple[np.ndarray, np.ndarray, int]:
 
     A stack of matrices (leading axes) is factored in one call of numpy's
     batched ``np.linalg.qr``, which runs the same LAPACK routines matrix by
-    matrix, bitwise as a plain call would. A plain matrix calls
-    ``lapack_lite`` directly: that skips ``np.linalg.qr``'s per-call
-    overhead (about 11 against 18 us on a 64 x 4 matrix), which a march
-    pays on every retraction. The dependence test and the gauge act on the
-    whole stack, only the flagged matrices are completed (each as a plain
-    matrix), and the count is the stack's total.
+    matrix, bitwise as a plain call would; so is a plain complex matrix. A
+    plain float64 matrix calls ``lapack_lite`` directly: that skips
+    ``np.linalg.qr``'s per-call overhead (about 11 against 18 us on a
+    64 x 4 matrix), which a march pays on every retraction. The dependence
+    test and the gauge act on the whole stack, only the flagged matrices
+    are completed (each as a plain matrix), and the count is the stack's
+    total.
     """
     if type(mat) is np.ndarray and mat.dtype == np.float64 and mat.ndim == 2:
         a = mat  # what the steppers pass: no coercion

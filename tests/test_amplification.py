@@ -335,6 +335,13 @@ def test_contour_grid_rejects_a_bad_lattice(ys, mus, h):
         ContourGrid(np.array(ys, dtype=float), np.array(mus, dtype=float), h)
 
 
+@pytest.mark.parametrize("y_points,mu_points", [(1, 5), (5, 1)])
+def test_contour_grid_rejects_a_single_point_axis(y_points, mu_points):
+    surface = parse_scheme_name("hyp-dtp-lie-fe").surface
+    with pytest.raises(ValueError, match="^need at least two points per axis$"):
+        contour_grid(surface, y_points, mu_points, 1.0)
+
+
 def test_contour_grid_compares_and_hashes_by_identity():
     grid = contour_grid(parse_scheme_name("hyp-dtp-lie-fe").surface, 3, 3, 1.0)
     twin = contour_grid(parse_scheme_name("hyp-dtp-lie-fe").surface, 3, 3, 1.0)

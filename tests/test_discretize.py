@@ -1,6 +1,7 @@
 """Velocity discretizations, periodic stencils, and Fourier-mode algebra."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -128,15 +129,17 @@ def test_shared_pad_stencils_bitwise_match_each_stencil(shape, kind):
 
 @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 3), (2, 3, 5, 4)])
 def test_wrap_pad_copies_like_concatenation(shape):
-    """The periodic pad holds the concatenated rows; a stack's moved view
-    also keeps the concatenation's stack-major layout."""
+    """The periodic pad holds the rows concatenated along the grid axis
+    (axis 0 of a vector, -2 otherwise), as one C-contiguous copy."""
     u = np.random.default_rng(len(shape)).standard_normal(shape)
-    if u.ndim > 2:
-        u = u.swapaxes(0, -2)
-    got, want = _wrap_pad(u), np.concatenate((u[-1:], u, u[:1]))
+    if u.ndim < 2:
+        want = np.concatenate((u[-1:], u, u[:1]))
+    else:
+        want = np.concatenate((u[..., -1:, :], u, u[..., :1, :]), axis=-2)
+    got = _wrap_pad(u)
+    assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    if u.ndim > 2:
-        assert got.strides == want.strides
+    assert got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
@@ -177,6 +180,22 @@ def test_coefficient_registry():
 def test_coefficient_unknown_name_rejected():
     with pytest.raises(ValueError, match="nope"):
         coefficient_from_name("nope")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: coefficient_from_name("const"),
+     "coefficient 'const' needs a parameter, e.g. const:0.75"),
+    (lambda: coefficient_from_name("const:abc"),
+     "bad decimal parameter in coefficient 'const:abc'"),
+    (lambda: coefficient_from_name("linear:1"), "coefficient 'linear' takes no parameter"),
+    (lambda: build_xgrid(2), "need at least 3 spatial points for periodic stencils"),
+    (lambda: build_modal(lambda v: v, 0), "basis_size must be at least 1"),
+    (lambda: build_nodal(lambda v: v, []), "v_points must be a nonempty 1-D array"),
+    (lambda: fourier_mode(8, 8), "mode index m=8 outside [0, 8)"),
+])
+def test_discretization_rejects(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gauss_legendre_nodes():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -49,6 +50,7 @@ from psilab.harness import (
 from psilab.amplification import _TILE_VALUES, ContourGrid, contour_grid
 from psilab.discretize import build_xgrid
 from psilab.harness import _worst_mode
+from psilab.integrators import SchemeSpec
 
 _MINIMAL = """
 equation = hyperbolic
@@ -805,6 +807,102 @@ def test_boundary_suite_bisection_count():
     rows = run_boundary_suite()
     assert len(rows) == 13
     assert sum(row.result.evaluations for row in rows) == 235
+
+
+def test_cli_boundary_exits_1_on_a_failed_row_and_still_writes_the_csv(tmp_path, capsys):
+    out = tmp_path / "thresholds.csv"
+    code = cli_main(["boundary", "--scheme", "hyp-full-fe", "--mu-cap", "0.5", "--out", str(out)])
+    assert code == 1
+    assert "critical_mu = unconditional  expected 1.000000: FAIL" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "scheme,critical_mu,worst_Y,lo,hi",
+        "hyp-full-fe,unconditional,0,0.5,0.5",
+    ]
+
+
+def test_cli_boundary_row_without_documented_threshold_exits_0(tmp_path, capsys):
+    out = tmp_path / "thresholds.csv"
+    code = cli_main(["boundary", "--scheme", "par-dtp-lie-theta0.25", "--out", str(out)])
+    assert code == 0
+    assert "critical_mu = 0.546918       (no documented threshold)" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").startswith("scheme,critical_mu")
+
+
+@pytest.mark.parametrize("name,approach,reference,reference_tol", [
+    ("par-full-theta0.25", "full_tensor", 1.0, 1e-6),  # 0.5 / (1 - 2 theta)
+    ("par-dtp-lie-theta0.25", "dtp", None, None),
+    ("par-ptd-lie-theta0.3", "ptd", None, None),
+])
+def test_theta_names_outside_the_named_weights(name, approach, reference, reference_tol):
+    info = parse_scheme_name(name)
+    theta = float(name.rpartition("theta")[2])
+    assert info.spec == SchemeSpec("parabolic", approach, "lie", "theta", theta)
+    assert info.spec.theta_value == theta
+    assert (info.reference, info.reference_tol) == (reference, reference_tol)
+
+
+def test_boundary_of_theta_names_outside_the_named_weights():
+    full, lie = run_boundary_suite(["par-full-theta0.25", "par-dtp-lie-theta0.25"])
+    assert full.result.critical_mu == pytest.approx(1.0000000259, abs=1e-9)
+    assert full.passed is True
+    assert lie.result.critical_mu == pytest.approx(0.5469, abs=1e-4)
+    assert lie.passed is None
+
+
+def test_verify_of_theta_names_outside_the_named_weights():
+    lines, overall = verify_report(
+        ["par-full-theta0.25", "par-dtp-lie-theta0.25", "par-ptd-lie-theta0.3"])
+    assert len(lines) == 6
+    assert overall <= 1.8e-15
+
+
+_CONFIG = dict(scheme=SchemeSpec("hyperbolic", "dtp"), n_x=16, n_v=4, rank=2, cfl=0.3, steps=10)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"n_x": 2}, "N_x must be at least 3, got 2"),
+    ({"n_v": 0}, "N_v must be at least 1, got 0"),
+    ({"steps": -1}, "steps must be nonnegative, got -1"),
+    ({"seed": 2**64}, "seed must fit an unsigned 64-bit integer, got 18446744073709551616"),
+    ({"v_mode": "spectral"}, "v_mode must be nodal or modal, got 'spectral'"),
+    ({"initial_data": "gaussian"}, "unknown initial_data 'gaussian'"),
+    ({"initial_data": "eigenmode", "mode_m": 16, "mode_k": 0},
+     "mode_m must lie in [0, N_x), got 16"),
+    ({"initial_data": "eigenmode", "mode_m": 0, "mode_k": 4},
+     "mode_k must lie in [0, N_v), got 4"),
+    ({"coefficient": "cubic"}, "unknown coefficient 'cubic'"),
+])
+def test_experiment_config_rejects(change, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**{**_CONFIG, **change})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_config(_MINIMAL.replace("approach = dtp", "approach = sideways")),
+     ConfigError, "unknown approach 'sideways'"),
+    (lambda: parse_scheme_name("par-dtp-lie-thetax"),
+     ValueError, "bad theta suffix in scheme name 'par-dtp-lie-thetax'"),
+    (lambda: parse_scheme_name("par-full-theta2"),
+     ValueError, "theta must lie in [0, 1] in scheme name 'par-full-theta2'"),
+    # square at the single Gauss point v = 0
+    (lambda: derive_dt("parabolic", 5.0, build_xgrid(64), build_vdisc("square", "nodal", 1)),
+     ValueError, "coefficient has zero spectral radius; dt is undefined"),
+    (lambda: derive_dt("parabolic", 0.2, build_xgrid(16), build_vdisc("linear", "nodal", 4)),
+     ValueError, "parabolic runs need a nonnegative coefficient spectrum, "
+                 "smallest eigenvalue is -8.611e-01"),
+    (lambda: run_oracle_suite("hyp-dtp-lie-fe", n_x=65),
+     ValueError, "oracle suite is a desk-scale check: N_x <= 64, N_v <= 8"),
+])
+def test_harness_rejects(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_cli_sweep_with_zero_spectral_radius_exits_2(capsys):
+    assert cli_main(["sweep", "--scheme", "par-strang-cn", "--n-v", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: coefficient has zero spectral radius; dt is undefined\n"
+    assert captured.out == ""
 
 
 def test_cli_simulate(tmp_path, capsys):

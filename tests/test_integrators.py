@@ -457,6 +457,43 @@ def test_scheme_spec_validation():
                    substep="forward_euler")
 
 
+_FRAME = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 2)))[0]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SchemeSpec("hyperbolic", "sideways"), ValueError, "unknown approach 'sideways'"),
+    (lambda: SchemeSpec("hyperbolic", "dtp", "strang", "ssp_rk2").theta_value,
+     ValueError, "substep 'ssp_rk2' has no theta weight"),
+    (lambda: LowRankState(X=_FRAME[0], S=np.eye(2), V=_FRAME),
+     ValueError, "state factors must be matrices or equal stacks of them"),
+    (lambda: LowRankState(X=_FRAME, S=np.eye(3), V=_FRAME),
+     ValueError, "inconsistent factor shapes (8, 2), (3, 3), (8, 2)"),
+    (lambda: LowRankState(X=_FRAME[:1], S=np.eye(2), V=_FRAME),
+     ValueError, "rank exceeds a factor dimension"),
+    (lambda: init_lowrank(np.ones(4), 1), ValueError, "initial data must be a matrix"),
+    (lambda: init_lowrank(np.ones((4, 3)), 4), ValueError, "rank 4 outside [1, 3]"),
+    (lambda: step(SchemeSpec("hyperbolic", "dtp"), np.ones((_NX, _NV)), _vdisc_for("hyp"),
+                  _GRID, 0.1),
+     TypeError, "low-rank schemes need a LowRankState"),
+])
+def test_stepper_rejects(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["hyp-ptd-lie-fe", "par-ptd-lie-theta1"])
+def test_ptd_step_rejects_a_genuinely_complex_projection(name):
+    """PtD projects the velocity coefficient onto V; a V whose V^H A V is
+    genuinely complex is not a mode probe, and the step refuses it."""
+    rng = np.random.default_rng(23)
+    state = LowRankState(X=_random_frame(rng, (_NX, 2), "complex"),
+                         S=_random(rng, (2, 2), "complex"),
+                         V=_random_frame(rng, (_NV, 2), "complex"))
+    vdisc = _vdisc_for(name)
+    with pytest.raises(ValueError, match="^projected coefficient matrix is not real$"):
+        step(parse_scheme_name(name).spec, state, vdisc, _GRID, 0.01)
+
+
 # theta out of [0, 1] or nan, given to a substep without a weight, or
 # missing from the theta substep
 @pytest.mark.parametrize("approach,splitting,substep,theta", [
