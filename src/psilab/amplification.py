@@ -46,26 +46,13 @@ __all__ = [
     "stability_surface",
 ]
 
-def _sorted_distinct(values) -> np.ndarray:
-    """The distinct values, ascending: ``np.unique`` without its import of
-    numpy.ma."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 #: Stability is judged on this Y sample. The uniform part resolves interior
 #: violations; the geometric tail resolves thresholds whose first violation
 #: appears at Y -> 0+ (the Lie splittings), where the unstable band at
-#: distance delta above the threshold has width O(delta).
-Y_GRID = _sorted_distinct(
-    np.concatenate(
-        [
-            np.linspace(0.0, 2.0, 4001),
-            np.geomspace(1e-9, 1e-2, 241),
-            [2.0],
-        ]
-    )
-)
+#: distance delta above the threshold has width O(delta). The tail stops
+#: short of its 1e-2 endpoint, which the uniform part holds, so the 4241
+#: points are distinct.
+Y_GRID = np.sort(np.concatenate([np.linspace(0.0, 2.0, 4001), np.geomspace(1e-9, 1e-2, 241)[:-1]]))
 
 _STABLE_SLACK = 1e-12
 _POLE_TOL = 1e-12

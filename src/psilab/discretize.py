@@ -246,10 +246,14 @@ def build_xgrid(n_x: int) -> XGrid:
     return XGrid(n_x=n_x)
 
 
-def fourier_mode(m: int, n_x: int) -> np.ndarray:
-    """Complex Fourier mode values exp(2*pi*i*j*m/n_x), j = 0..n_x-1."""
-    if not 0 <= m < n_x:
-        raise ValueError(f"mode index m={m} outside [0, {n_x})")
+def fourier_mode(m, n_x: int) -> np.ndarray:
+    """Complex Fourier mode values exp(2*pi*i*j*m/n_x), j = 0..n_x-1, along
+    a last axis: shape (n_x,) for one index m, m.shape + (n_x,) for an array
+    of them."""
+    m = np.asarray(m)
+    outside = m[(m < 0) | (m >= n_x)]
+    if outside.size:
+        raise ValueError(f"mode index m={outside[0]} outside [0, {n_x})")
     j = np.arange(n_x)
-    return np.exp(2j * np.pi * m * j / n_x)
+    return np.exp(2j * np.pi * m[..., None] * j / n_x)
 

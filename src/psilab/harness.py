@@ -33,6 +33,7 @@ from .discretize import (
     build_nodal,
     build_xgrid,
     coefficient_from_name,
+    fourier_mode,
     gauss_legendre_points,
 )
 from .integrators import LowRankState, SchemeSpec, reconstruct, step
@@ -298,13 +299,6 @@ _LIE_THETA_REFERENCES = {
 }
 
 
-def _theta_spec(approach: str, theta: float) -> SchemeSpec:
-    named = {0.0: "forward_euler", 0.5: "crank_nicolson", 1.0: "backward_euler"}
-    if theta in named:
-        return SchemeSpec("parabolic", approach, "lie", named[theta])
-    return SchemeSpec("parabolic", approach, "lie", "theta", theta)
-
-
 def _theta_reference(approach: str, theta: float) -> tuple[float | str | None, float | None]:
     if approach != "full_tensor":
         return _LIE_THETA_REFERENCES.get(theta, (None, None))
@@ -337,7 +331,7 @@ def parse_scheme_name(name: str) -> SchemeInfo:
     for prefix, approach in _THETA_FAMILIES:
         if name.startswith(prefix):
             theta = _parse_theta_suffix(name, prefix)
-            return SchemeInfo(name, _theta_spec(approach, theta),
+            return SchemeInfo(name, SchemeSpec("parabolic", approach, "lie", "theta", theta),
                               *_theta_reference(approach, theta))
     raise ValueError(f"unknown scheme name '{name}'")
 
@@ -441,10 +435,7 @@ def complex_mode_probes(ms, ks, vdisc: VDiscretization, grid: XGrid) -> LowRankS
         outside = (indices < 0) | (indices >= n)
         if outside.any():
             raise ValueError(f"{what} indices {indices[outside].tolist()} outside [0, {n})")
-    j = np.arange(n_x)
-    # fourier_mode's phases in its operation order, so each probe is bitwise its mode
-    modes = np.exp(2j * np.pi * ms[:, None] * j / n_x)
-    x = (modes / np.sqrt(n_x))[:, :, None]
+    x = (fourier_mode(ms, n_x) / np.sqrt(n_x))[:, :, None]
     v = vdisc.spectrum.eigenvectors[:, ks].T.astype(np.complex128)[:, :, None]
     s = np.full((len(ms), 1, 1), np.sqrt(n_x), dtype=np.complex128)
     return LowRankState(X=x, S=s, V=v)

@@ -69,12 +69,21 @@ _SCHEME_SUBSTEPS = {
     ("parabolic", "strang"): ("crank_nicolson",),
 }
 
+#: Implicitness weight of each named theta-family substep; a "theta"
+#: substep at one of these weights is that named substep.
+_THETA_WEIGHTS = {"forward_euler": 0.0, "crank_nicolson": 0.5, "backward_euler": 1.0}
+_THETA_NAMES = {weight: name for name, weight in _THETA_WEIGHTS.items()}
+
 _ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Descriptor of one scheme: equation class, formulation, time stepping."""
+    """Descriptor of one scheme: equation class, formulation, time stepping.
+
+    A "theta" substep at a weight of 0, 1/2 or 1 becomes its named substep
+    with no theta, so each scheme has one spec however it is spelled.
+    """
 
     equation: str
     approach: str
@@ -109,13 +118,15 @@ class SchemeSpec:
             )
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        if self.theta in _THETA_NAMES:
+            object.__setattr__(self, "substep", _THETA_NAMES[self.theta])
+            object.__setattr__(self, "theta", None)
 
     @property
     def theta_value(self) -> float:
         """Implicitness weight of the theta-family substep."""
-        table = {"forward_euler": 0.0, "backward_euler": 1.0, "crank_nicolson": 0.5}
-        if self.substep in table:
-            return table[self.substep]
+        if self.substep in _THETA_WEIGHTS:
+            return _THETA_WEIGHTS[self.substep]
         if self.substep == "theta":
             return float(self.theta)  # validated above
         raise ValueError(f"substep '{self.substep}' has no theta weight")
@@ -225,13 +236,13 @@ def _upwind_flux(stencils, coeff, upwind, dx: float):
     return flux
 
 
-def _projected_symmetric(v, mat) -> np.ndarray:
-    """V^H mat V coerced to a real symmetric matrix.
+def _projected_symmetric(b) -> np.ndarray:
+    """A projected coefficient matrix V^H A V coerced to a real symmetric
+    matrix.
 
     Complex bases only occur as rank-1 mode probes, where the projection is
     real up to roundoff; anything genuinely complex is rejected.
     """
-    b = v.conj().mT @ (mat @ v)
     b = 0.5 * (b + b.conj().mT)
     if np.iscomplexobj(b):
         imag, real = frobenius_norm(b.imag), frobenius_norm(b.real)
@@ -295,9 +306,9 @@ class _lazy:
 
 class _VBasis:
     """A V factor with V^H A V and V^H |A| V as plain products (complex for
-    a general complex V), the real symmetric V^T A V, |V^T A V| and its
-    eigendecomposition, each built at most once. A step hands its final
-    V's basis on with the state it returns."""
+    a general complex V), the real symmetric V^T A V (the first product,
+    symmetrized), |V^T A V| and its eigendecomposition, each built at most
+    once. A step hands its final V's basis on with the state it returns."""
 
     def __init__(self, v: np.ndarray, vdisc: VDiscretization):
         self.v, self.vdisc = v, vdisc
@@ -312,7 +323,7 @@ class _VBasis:
 
     @_lazy
     def atil(self) -> np.ndarray:
-        return _projected_symmetric(self.v, self.vdisc.coeff)
+        return _projected_symmetric(self.coeff)
 
     @_lazy
     def abs_atil(self) -> np.ndarray:

@@ -204,6 +204,18 @@ def test_full_theta_stability_region(x, theta):
         assert abs(g) > 1.0
 
 
+def test_y_grid_is_sorted_and_distinct():
+    """4241 distinct points in [0, 2], bit for bit the deduplicated union of
+    the 4001-point uniform grid and the 241-point geometric tail, whose 1e-2
+    endpoint the uniform grid also holds."""
+    assert Y_GRID.shape == (4241,)
+    assert (np.diff(Y_GRID) > 0.0).all()
+    assert (Y_GRID[0], Y_GRID[1], Y_GRID[-1]) == (0.0, 1e-9, 2.0)
+    union = np.unique(np.concatenate([np.linspace(0.0, 2.0, 4001),
+                                      np.geomspace(1e-9, 1e-2, 241)]))
+    assert Y_GRID.tobytes() == union.tobytes()
+
+
 def test_boundary_bracket_invariants():
     info = parse_scheme_name("hyp-dtp-lie-fe")
     res = find_boundary(info.surface, info.mu_cap, 1e-4)

@@ -98,6 +98,16 @@ def test_fourier_modes_are_stencil_eigenvectors(n_x):
         np.testing.assert_allclose(dense_beta(grid) @ mode, beta * mode, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_x", [3, 16, 63, 1024])
+def test_fourier_mode_on_an_array_is_the_stacked_scalar_calls_bitwise(n_x):
+    ms = np.arange(n_x)
+    stacked = np.stack([fourier_mode(m, n_x) for m in ms.tolist()])
+    assert fourier_mode(ms, n_x).tobytes() == stacked.tobytes()
+    square = ms[: 2 * (n_x // 2)].reshape(2, -1)[:, ::-1]
+    assert fourier_mode(square, n_x).shape == square.shape + (n_x,)
+    assert fourier_mode(square, n_x).tobytes() == stacked[square].tobytes()
+
+
 @pytest.mark.parametrize("n_x", [3, 4, 8, 16, 64])
 @pytest.mark.parametrize("cols", [1, 16])
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -192,6 +202,8 @@ def test_coefficient_unknown_name_rejected():
     (lambda: build_modal(lambda v: v, 0), "basis_size must be at least 1"),
     (lambda: build_nodal(lambda v: v, []), "v_points must be a nonempty 1-D array"),
     (lambda: fourier_mode(8, 8), "mode index m=8 outside [0, 8)"),
+    (lambda: fourier_mode(np.array([0, 7, 8]), 8), "mode index m=8 outside [0, 8)"),
+    (lambda: fourier_mode([[1, 2], [-1, 3]], 8), "mode index m=-1 outside [0, 8)"),
 ])
 def test_discretization_rejects(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -22,6 +22,7 @@ from psilab.harness import (
     BOUNDARY_SUITE,
     FIGURE_GRIDS,
     VERIFY_SCHEMES,
+    BoundaryRow,
     ConfigError,
     ExperimentConfig,
     NumericalError,
@@ -47,7 +48,7 @@ from psilab.harness import (
     write_contour_csv,
     write_history_csv,
 )
-from psilab.amplification import _TILE_VALUES, ContourGrid, contour_grid
+from psilab.amplification import _TILE_VALUES, BoundaryResult, ContourGrid, contour_grid
 from psilab.discretize import build_xgrid
 from psilab.harness import _worst_mode
 from psilab.integrators import SchemeSpec
@@ -143,6 +144,42 @@ def test_config_round_trip(extra):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+_THETA_SPELLED = """
+equation = parabolic
+approach = dtp
+splitting = lie
+substep = theta
+theta = {weight}
+N_x = 16
+N_v = 4
+rank = 2
+coefficient = square
+cfl = 0.2
+steps = 10
+"""
+
+
+@pytest.mark.parametrize("weight,named", [
+    ("0.0", "forward_euler"), ("0.5", "crank_nicolson"), ("1", "backward_euler"),
+])
+def test_a_named_theta_weight_spelled_as_theta_is_the_named_scheme(tmp_path, weight, named):
+    """One scheme, one spec: ``substep = theta`` at a weight of 0, 1/2 or 1
+    parses to the registry name's spec, writes back as the named substep,
+    and marches the same history byte for byte."""
+    cfg = parse_config(_THETA_SPELLED.format(weight=weight))
+    by_name = parse_config(_THETA_SPELLED.format(weight=weight)
+                           .replace("substep = theta", f"substep = {named}")
+                           .replace(f"theta = {weight}\n", ""))
+    assert cfg.scheme == parse_scheme_name(f"par-dtp-lie-theta{weight}").spec
+    assert cfg == by_name
+    text = serialize_config(cfg)
+    assert f"substep = {named}\n" in text and "theta" not in text
+    paths = [tmp_path / "theta.csv", tmp_path / "named.csv"]
+    for path, c in zip(paths, (cfg, by_name)):
+        write_history_csv(str(path), run_simulation(c))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_serialize_config_bytes():
     # Keys come out in grammar order whatever the document order; floats
     # as repr.
@@ -228,6 +265,20 @@ def test_worst_mode_run_above_threshold_grows_tenfold():
     )
     records = run_simulation(cfg)
     assert records[-1].frobenius >= 10.0 * records[0].frobenius
+
+
+def test_worst_mode_march_tracks_its_multiplier_for_1000_steps():
+    """march-hyp-64's worst-mode run: the padded real probe of mode (1, 0)
+    keeps growing by exactly |g| per step, its shadow and pads included."""
+    cfg = ExperimentConfig(
+        scheme=parse_scheme_name("hyp-dtp-lie-fe").spec,
+        n_x=64, n_v=16, rank=4, cfl=0.34, steps=1000, initial_data="worst_mode",
+    )
+    vdisc, grid, dt = build_problem(cfg)
+    assert _worst_mode(cfg.scheme, vdisc, grid, dt) == (1, 0, 1.0000256067563138)
+    records = run_simulation(cfg)
+    ratio = records[-1].frobenius / records[0].frobenius
+    assert ratio == pytest.approx(1.0000256067563138**1000, rel=1e-10)
 
 
 def test_mode_probe_rank_classification():
@@ -839,6 +890,21 @@ def test_theta_names_outside_the_named_weights(name, approach, reference, refere
     assert info.spec == SchemeSpec("parabolic", approach, "lie", "theta", theta)
     assert info.spec.theta_value == theta
     assert (info.reference, info.reference_tol) == (reference, reference_tol)
+
+
+@pytest.mark.parametrize("critical_mu,reference,reference_tol,passed", [
+    (0.5, 0.5 + 1e-7, 1e-6, True),
+    (0.5, 0.5 + 1e-5, 1e-6, False),
+    ("unconditional", "unconditional", None, True),
+    (0.5, "unconditional", None, False),
+    ("unconditional", 0.5, 1e-6, False),
+    (0.5, None, None, None),
+    ("unconditional", None, None, None),
+])
+def test_boundary_row_verdict(critical_mu, reference, reference_tol, passed):
+    result = BoundaryResult(critical_mu, worst_y=0.0, lo=0.0, hi=1.0, evaluations=1)
+    row = BoundaryRow("row", result, reference, reference_tol)
+    assert row.passed is passed
 
 
 def test_boundary_of_theta_names_outside_the_named_weights():

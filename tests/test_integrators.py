@@ -502,12 +502,25 @@ def test_ptd_step_rejects_a_genuinely_complex_projection(name):
     ("dtp", "lie", "theta", math.nan),
     ("dtp", "lie", "hybrid_be_fe_be", 0.5),
     ("dtp", "strang", "crank_nicolson", 0.5),
+    ("dtp", "strang", "theta", 0.5),  # Strang takes crank_nicolson by name only
     ("full_tensor", "lie", "theta", None),
     ("dtp", "lie", "theta", None),
 ])
 def test_scheme_spec_rejects_bad_theta(approach, splitting, substep, theta):
     with pytest.raises(ValueError, match="theta"):
         SchemeSpec("parabolic", approach, splitting, substep, theta)
+
+
+@pytest.mark.parametrize("approach", ["full_tensor", "dtp", "ptd"])
+@pytest.mark.parametrize("weight,named", [
+    (0.0, "forward_euler"), (0, "forward_euler"), (0.5, "crank_nicolson"),
+    (np.float64(0.5), "crank_nicolson"), (1.0, "backward_euler"), (1, "backward_euler"),
+], ids=["0.0", "int-0", "0.5", "float64-0.5", "1.0", "int-1"])
+def test_theta_substep_at_a_named_weight_is_the_named_spec(approach, weight, named):
+    spec = SchemeSpec("parabolic", approach, "lie", "theta", weight)
+    assert spec == SchemeSpec("parabolic", approach, "lie", named)
+    assert hash(spec) == hash(SchemeSpec("parabolic", approach, "lie", named))
+    assert (spec.substep, spec.theta, spec.theta_value) == (named, None, weight)
 
 
 #: Every scheme SchemeSpec accepts among the axis values below.
